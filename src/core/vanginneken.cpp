@@ -392,7 +392,6 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
 VgResult optimize(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
                   const VgOptions& options) {
   NBUF_TRACE_SPAN_TAGGED("vg.optimize", tree.node_count());
-  NBUF_TRACE_DETAIL_TAGGED("vg.lib_types", lib.size());
   NBUF_EXPECTS_MSG(tree.is_binary(), "call tree.binarize() first");
   NBUF_EXPECTS_MSG(!lib.empty(), "empty buffer library");
   NBUF_EXPECTS(options.max_buffers >= 1);

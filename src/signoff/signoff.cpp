@@ -96,6 +96,8 @@ SignoffReport verify(const std::string& name, const rct::RoutingTree& tree,
   bool have_golden = true;
   try {
     golden = sim::golden_analyze(tree, buffers, lib, options.golden);
+    rep.golden_steps = golden.steps_marched;
+    rep.golden_steps_horizon = golden.steps_horizon;
   } catch (const sim::ConvergenceError& e) {
     have_golden = false;
     Violation v;

@@ -131,6 +131,10 @@ struct SignoffReport {
   double worst_metric_slack = 0.0;  // volt
   double worst_timing_slack = 0.0;  // second, min over true sinks
   PessimismStats pessimism;
+  // GoldenReport::steps_marched / steps_horizon of the golden run (0 when
+  // it did not converge). Observability only: not part of the JSON.
+  std::size_t golden_steps = 0;
+  std::size_t golden_steps_horizon = 0;
 
   [[nodiscard]] bool pass() const noexcept { return violations.empty(); }
   [[nodiscard]] std::size_t count(ViolationKind kind) const;

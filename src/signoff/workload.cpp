@@ -77,6 +77,8 @@ WorkloadSignoff run_workload(const std::vector<batch::BatchNet>& nets,
     track_min(out.worst_metric_slack, r.worst_metric_slack);
     track_min(out.worst_timing_slack, r.worst_timing_slack);
     out.pessimism.merge(r.pessimism);
+    out.golden_steps += r.golden_steps;
+    out.golden_steps_horizon += r.golden_steps_horizon;
   }
   out.worst_golden_slack = finite_or_zero(out.worst_golden_slack);
   out.worst_metric_slack = finite_or_zero(out.worst_metric_slack);
@@ -145,6 +147,8 @@ void record_metrics(obs::MetricsRegistry& reg, const WorkloadSignoff& w) {
   reg.counter("signoff.feasible").add(w.feasible);
   reg.counter("signoff.feasible_golden_clean").add(w.feasible_golden_clean);
   reg.counter("signoff.pessimism.samples").add(w.pessimism.samples);
+  reg.counter("sim.golden_steps").add(w.golden_steps);
+  reg.counter("sim.golden_steps_horizon").add(w.golden_steps_horizon);
   for (std::size_t b = 0; b < PessimismStats::kBinCount; ++b) {
     reg.counter("signoff.pessimism.bin_" + std::string(b < 10 ? "0" : "") +
                 std::to_string(b))

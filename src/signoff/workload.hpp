@@ -52,6 +52,10 @@ struct WorkloadSignoff {
   double worst_metric_slack = 0.0;  // volt
   double worst_timing_slack = 0.0;  // second
   PessimismStats pessimism;         // merged over all nets, index order
+  // Golden steps marched vs the fixed-horizon count, summed over nets;
+  // metrics counters only, not part of the JSON.
+  std::size_t golden_steps = 0;
+  std::size_t golden_steps_horizon = 0;
   double wall_seconds = 0.0;        // end-to-end verify wall time
 
   [[nodiscard]] bool pass() const noexcept { return violations == 0; }
@@ -77,8 +81,9 @@ struct WorkloadSignoff {
                                   bool include_leaves = false);
 
 // Folds the workload aggregates into a MetricsRegistry: pass/violation
-// totals and the pessimism histogram bins as "signoff.*" counters
-// (schedule-independent), slack extrema and throughput as gauges.
+// totals and the pessimism histogram bins as "signoff.*" counters and the
+// golden step counts as "sim.golden_steps*" counters (all
+// schedule-independent), slack extrema and throughput as gauges.
 void record_metrics(obs::MetricsRegistry& reg, const WorkloadSignoff& w);
 
 }  // namespace nbuf::signoff

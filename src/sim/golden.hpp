@@ -30,7 +30,10 @@ struct GoldenOptions {
   SaturatedRamp aggressor;      // the switching neighbor
   double section_length = 100.0;    // µm — pi-section granularity
   double steps_per_rise = 200.0;    // timestep = rise / steps_per_rise
-  double settle_time_constants = 8.0;  // simulate rise + k * stage tau
+  // Settling horizon: t0 + rise + k * stage tau. A stage's march ends
+  // earlier, exactly, once no reported peak or width can change any more
+  // (docs/signoff.md, "How the march ends").
+  double settle_time_constants = 8.0;
   // Step-size sanity check: every stage is re-simulated with the timestep
   // halved, and each leaf's peak must agree with the coarse run within
   // max(convergence_atol, convergence_rtol * peak). A disagreement means
@@ -71,6 +74,10 @@ struct GoldenReport {
   std::vector<GoldenLeaf> sinks;  // true sinks only, indexed by SinkId
   double worst_slack = 0.0;
   std::size_t violation_count = 0;
+  // Backward-Euler steps over all stages (dt/2 reruns included): marched,
+  // and what marching every stage to its settling horizon would take.
+  std::size_t steps_marched = 0;
+  std::size_t steps_horizon = 0;
   [[nodiscard]] bool clean() const noexcept { return violation_count == 0; }
 };
 
@@ -83,9 +90,10 @@ struct GoldenReport {
 [[nodiscard]] GoldenReport golden_analyze_unbuffered(
     const rct::RoutingTree& tree, const GoldenOptions& options);
 
-// Peak simulated noise at every node of a single stage (keyed by tree node;
-// wire-interior section nodes are not reported). Exposed for tests that
-// cross-check the tree solver against the dense engine.
+// Peak simulated noise at every node of a single stage, keyed by tree node
+// in stage.nodes order (wire-interior section nodes are not reported).
+// Exposed for tests that cross-check the tree solver against the dense
+// engine.
 [[nodiscard]] std::vector<std::pair<rct::NodeId, double>> golden_stage_peaks(
     const rct::RoutingTree& tree, const rct::Stage& stage,
     const GoldenOptions& options);

@@ -37,10 +37,12 @@ TreeSolver::TreeSolver(std::vector<std::size_t> parent,
   // g_c (1 - g_c / D_c); root has no g term.
   diag_ = std::move(extra);
   for (std::size_t i = 1; i < n; ++i) diag_[i] += branch_g_[i];
+  ratio_.assign(n, 0.0);
   for (std::size_t v : order_) {
     if (v == 0) break;  // root is last
     NBUF_EXPECTS_MSG(diag_[v] > 0.0, "singular tree system");
-    diag_[parent_[v]] += branch_g_[v] * (1.0 - branch_g_[v] / diag_[v]);
+    ratio_[v] = branch_g_[v] / diag_[v];
+    diag_[parent_[v]] += branch_g_[v] * (1.0 - ratio_[v]);
   }
   NBUF_EXPECTS_MSG(diag_[0] > 0.0, "singular tree system (floating root)");
 }
@@ -51,7 +53,7 @@ void TreeSolver::solve(std::vector<double>& rhs) const {
   // Forward (leaves to root): fold each child's contribution into parent.
   for (std::size_t v : order_) {
     if (v == 0) break;
-    rhs[parent_[v]] += branch_g_[v] / diag_[v] * rhs[v];
+    rhs[parent_[v]] += ratio_[v] * rhs[v];
   }
   // Root solve, then push solutions downward (root to leaves).
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {

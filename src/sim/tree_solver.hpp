@@ -33,6 +33,7 @@ class TreeSolver {
   std::vector<std::size_t> parent_;
   std::vector<double> branch_g_;
   std::vector<double> diag_;   // eliminated diagonal D_i
+  std::vector<double> ratio_;  // g_i / D_i, the forward-sweep multiplier
   std::vector<std::size_t> order_;  // children-before-parents
 };
 

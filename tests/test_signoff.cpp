@@ -15,6 +15,7 @@
 #include "common/test_nets.hpp"
 #include "core/tool.hpp"
 #include "netgen/netgen.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "signoff/signoff.hpp"
 #include "signoff/workload.hpp"
@@ -253,6 +254,27 @@ TEST_F(SignoffWorkload, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial.worst_golden_slack, parallel.worst_golden_slack);
   EXPECT_EQ(serial.worst_metric_slack, parallel.worst_metric_slack);
   EXPECT_EQ(serial.worst_timing_slack, parallel.worst_timing_slack);
+  // The golden step counters, and the metrics document they feed.
+  EXPECT_EQ(serial.golden_steps, parallel.golden_steps);
+  EXPECT_EQ(serial.golden_steps_horizon, parallel.golden_steps_horizon);
+  EXPECT_GT(serial.golden_steps, 0u);
+  EXPECT_LT(serial.golden_steps, serial.golden_steps_horizon);
+  obs::MetricsRegistry reg_serial, reg_parallel;
+  signoff::record_metrics(reg_serial, serial);
+  signoff::record_metrics(reg_parallel, parallel);
+  const obs::MetricsSnapshot snap = reg_serial.snapshot();
+  EXPECT_TRUE(snap.deterministic_equal(reg_parallel.snapshot()));
+  std::size_t found = 0;
+  for (const auto& c : snap.counters) {
+    if (c.name == "sim.golden_steps") {
+      EXPECT_EQ(c.value, serial.golden_steps);
+      ++found;
+    } else if (c.name == "sim.golden_steps_horizon") {
+      EXPECT_EQ(c.value, serial.golden_steps_horizon);
+      ++found;
+    }
+  }
+  EXPECT_EQ(found, 2u);
 }
 
 TEST_F(SignoffWorkload, WorkloadJsonCarriesSchemaAndCounts) {
@@ -264,6 +286,8 @@ TEST_F(SignoffWorkload, WorkloadJsonCarriesSchemaAndCounts) {
   EXPECT_NE(json.find("\"schema\":\"nbuf-signoff-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"nets\":200"), std::string::npos);
   EXPECT_NE(json.find("\"violations_by_kind\""), std::string::npos);
+  // Step counters are metrics only; the signoff schema is unchanged.
+  EXPECT_EQ(json.find("golden_steps"), std::string::npos);
   // include_leaves=false keeps the document summary-sized.
   EXPECT_EQ(json.find("\"leaves\""), std::string::npos);
   EXPECT_NE(signoff::to_json(w, true).find("\"leaves\""),

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/test_nets.hpp"
+#include "core/tool.hpp"
+#include "netgen/netgen.hpp"
 #include "noise/devgan.hpp"
 #include "sim/dense.hpp"
 #include "sim/golden.hpp"
+#include "sim/stage_circuit.hpp"
 #include "sim/tree_solver.hpp"
 #include "util/rng.hpp"
 
@@ -268,6 +272,55 @@ TEST(Golden, ConvergenceErrorCarriesDiagnostics) {
   }
 }
 
+TEST(Golden, ConvergenceErrorNamesFirstFailingLeafInStageOrder) {
+  // A multi-sink stage at a too-coarse step: the error must name the first
+  // leaf of stage.sinks whose dt/2 peak disagrees, with that leaf's peaks.
+  const auto t = steiner::make_balanced_tree(3, 900.0, test::default_driver(),
+                                             test::default_sink(),
+                                             lib::default_technology());
+  auto opt = sim::golden_options_from(lib::default_technology());
+  opt.steps_per_rise = 2.0;
+  const auto coarse = sim::golden_analyze_unbuffered(t, opt);
+  opt.steps_per_rise = 4.0;
+  const auto fine = sim::golden_analyze_unbuffered(t, opt);
+  ASSERT_EQ(coarse.leaves.size(), 8u);
+  std::size_t first_bad = coarse.leaves.size();
+  for (std::size_t k = 0; k < coarse.leaves.size(); ++k) {
+    const double a = coarse.leaves[k].peak;
+    const double b = fine.leaves[k].peak;
+    if (std::abs(a - b) >
+        std::max(opt.convergence_atol, opt.convergence_rtol * b)) {
+      first_bad = k;
+      break;
+    }
+  }
+  ASSERT_LT(first_bad, coarse.leaves.size());
+
+  opt.steps_per_rise = 2.0;
+  opt.check_convergence = true;
+  try {
+    (void)sim::golden_analyze_unbuffered(t, opt);
+    FAIL() << "expected ConvergenceError";
+  } catch (const sim::ConvergenceError& e) {
+    EXPECT_EQ(e.node, coarse.leaves[first_bad].node);
+    EXPECT_EQ(e.coarse_peak, coarse.leaves[first_bad].peak);
+    EXPECT_EQ(e.fine_peak, fine.leaves[first_bad].peak);
+  }
+}
+
+TEST(Golden, StagePeaksFollowStageNodeOrder) {
+  const auto t = steiner::make_balanced_tree(2, 900.0, test::default_driver(),
+                                             test::default_sink(),
+                                             lib::default_technology());
+  const auto stages =
+      rct::decompose(t, rct::BufferAssignment{}, lib::BufferLibrary{});
+  const auto peaks = sim::golden_stage_peaks(
+      t, stages[0], sim::golden_options_from(lib::default_technology()));
+  ASSERT_EQ(peaks.size(), stages[0].nodes.size());
+  for (std::size_t k = 0; k < peaks.size(); ++k)
+    EXPECT_EQ(peaks[k].first, stages[0].nodes[k]);
+}
+
 TEST(Golden, ViolationCountUsesMargins) {
   auto t = test::long_two_pin(9000.0);  // far beyond critical length
   const auto opt = sim::golden_options_from(lib::default_technology());
@@ -334,6 +387,219 @@ TEST(Waveform, SaturatedRamp) {
   EXPECT_DOUBLE_EQ(r.at(0.125 * ns), 0.9);
   EXPECT_DOUBLE_EQ(r.at(1.0), 1.8);
   EXPECT_NEAR(r.slope(), 7.2e9, 1e-3);
+}
+
+// --- early-exit oracle ----------------------------------------------------------
+//
+// golden.cpp stops a stage's march once no reported peak or width can change
+// any more. The reference below is the fixed-horizon march it replaced: every
+// stage runs to t0 + rise + k·R_total·C_total. The two must agree bit for bit
+// (EXPECT_EQ on doubles, not NEAR).
+
+struct RefMarch {
+  std::vector<double> peak;   // per sim node
+  std::vector<double> width;  // per sim node; set for `traced` only
+};
+
+RefMarch reference_march(const sim::StageCircuit& c, double r_drv,
+                         const sim::GoldenOptions& opt, double steps_per_rise,
+                         const std::vector<std::size_t>& traced) {
+  const std::size_t n = c.size();
+  const double h = opt.aggressor.rise / steps_per_rise;
+  double r_total = r_drv;
+  double c_total = 0.0;
+  for (std::size_t i = 1; i < n; ++i) r_total += 1.0 / c.branch_g[i];
+  for (std::size_t i = 0; i < n; ++i) c_total += c.total_cap(i);
+  const double t_end = opt.aggressor.t0 + opt.aggressor.rise +
+                       opt.settle_time_constants * r_total * c_total;
+  std::vector<double> extra(n, 0.0);
+  extra[0] = 1.0 / r_drv;
+  for (std::size_t i = 0; i < n; ++i) extra[i] += c.total_cap(i) / h;
+  const sim::TreeSolver solver(c.parent, c.branch_g, extra);
+  std::vector<double> v(n, 0.0), rhs(n);
+  RefMarch out{std::vector<double>(n, 0.0), std::vector<double>(n, 0.0)};
+  std::vector<std::vector<double>> trace(traced.size());
+  const auto steps = static_cast<std::size_t>(std::ceil(t_end / h));
+  double va_prev = opt.aggressor.at(0.0);
+  for (std::size_t step = 1; step <= steps; ++step) {
+    const double va = opt.aggressor.at(static_cast<double>(step) * h);
+    const double dva = va - va_prev;
+    va_prev = va;
+    for (std::size_t i = 0; i < n; ++i)
+      rhs[i] = c.total_cap(i) / h * v[i] + c.cap_couple[i] / h * dva;
+    solver.solve(rhs);
+    v = rhs;
+    for (std::size_t i = 0; i < n; ++i)
+      out.peak[i] = std::max(out.peak[i], std::abs(v[i]));
+    for (std::size_t k = 0; k < traced.size(); ++k)
+      trace[k].push_back(std::abs(v[traced[k]]));
+  }
+  for (std::size_t k = 0; k < traced.size(); ++k) {
+    const double half = out.peak[traced[k]] / 2.0;
+    if (half <= 0.0) continue;
+    std::size_t above = 0;
+    for (double x : trace[k])
+      if (x >= half) ++above;
+    out.width[traced[k]] = static_cast<double>(above) * h;
+  }
+  return out;
+}
+
+std::vector<std::size_t> leaf_sims(const sim::StageCircuit& c,
+                                   const rct::Stage& st) {
+  std::vector<std::size_t> out;
+  for (const rct::StageSink& s : st.sinks)
+    out.push_back(c.sim_node_of.at(s.node));
+  return out;
+}
+
+// golden_analyze (and, with `stage_peaks`, golden_stage_peaks per stage)
+// against the reference: identical leaf peaks and widths, or — with
+// check_convergence — the same ConvergenceError the reference's leaf-order
+// dt/2 check predicts. Returns the report's (marched, horizon) step counts.
+std::pair<std::size_t, std::size_t> expect_golden_matches_reference(
+    const rct::RoutingTree& tree, const rct::BufferAssignment& buffers,
+    const lib::BufferLibrary& lib, const sim::GoldenOptions& opt,
+    bool stage_peaks, const std::string& what) {
+  std::vector<std::pair<double, double>> leaves;  // peak, width
+  bool converged = true;
+  rct::NodeId bad_node;
+  double bad_coarse = 0.0, bad_fine = 0.0;
+  for (const rct::Stage& st : rct::decompose(tree, buffers, lib)) {
+    const auto c = sim::build_stage_circuit(tree, st, opt.coupling_ratio,
+                                            opt.section_length);
+    const std::vector<std::size_t> sims = leaf_sims(c, st);
+    const RefMarch ref = reference_march(c, st.driver_resistance, opt,
+                                         opt.steps_per_rise, sims);
+    for (std::size_t i : sims) leaves.emplace_back(ref.peak[i], ref.width[i]);
+    if (opt.check_convergence && converged) {
+      const RefMarch fine = reference_march(c, st.driver_resistance, opt,
+                                            2.0 * opt.steps_per_rise, {});
+      for (std::size_t k = 0; k < sims.size() && converged; ++k) {
+        const double a = ref.peak[sims[k]];
+        const double b = fine.peak[sims[k]];
+        if (std::abs(a - b) >
+            std::max(opt.convergence_atol, opt.convergence_rtol * b)) {
+          converged = false;
+          bad_node = st.sinks[k].node;
+          bad_coarse = a;
+          bad_fine = b;
+        }
+      }
+    }
+    if (!stage_peaks || !converged) continue;
+    const auto peaks = sim::golden_stage_peaks(tree, st, opt);
+    EXPECT_EQ(peaks.size(), st.nodes.size()) << what;
+    for (const auto& [id, pk] : peaks)
+      EXPECT_EQ(pk, ref.peak[c.sim_node_of.at(id)]) << what << " node " << id;
+  }
+  try {
+    const sim::GoldenReport rep = sim::golden_analyze(tree, buffers, lib, opt);
+    EXPECT_TRUE(converged) << what << ": reference did not converge";
+    EXPECT_EQ(rep.leaves.size(), leaves.size()) << what;
+    for (std::size_t k = 0; k < rep.leaves.size() && k < leaves.size(); ++k) {
+      EXPECT_EQ(rep.leaves[k].peak, leaves[k].first) << what << " leaf " << k;
+      EXPECT_EQ(rep.leaves[k].width, leaves[k].second) << what << " leaf " << k;
+    }
+    EXPECT_LE(rep.steps_marched, rep.steps_horizon) << what;
+    return {rep.steps_marched, rep.steps_horizon};
+  } catch (const sim::ConvergenceError& e) {
+    EXPECT_FALSE(converged) << what << ": " << e.what();
+    EXPECT_EQ(e.node, bad_node) << what;
+    EXPECT_EQ(e.coarse_peak, bad_coarse) << what;
+    EXPECT_EQ(e.fine_peak, bad_fine) << what;
+  }
+  return {0, 0};
+}
+
+class GoldenEarlyExit : public ::testing::Test {
+ protected:
+  struct Net {
+    rct::RoutingTree tree;
+    core::ToolResult result;
+  };
+
+  static void SetUpTestSuite() {
+    const auto lib = lib::default_library();
+    netgen::TestbenchOptions gen;
+    gen.net_count = 100;
+    gen.seed = 9851;
+    nets_ = new std::vector<Net>();
+    for (auto& g : netgen::generate_testbench(lib, gen)) {
+      core::ToolResult res = core::run_buffopt(g.tree, lib);
+      nets_->push_back({std::move(g.tree), std::move(res)});
+    }
+  }
+  static void TearDownTestSuite() {
+    delete nets_;
+    nets_ = nullptr;
+  }
+
+  // Runs the oracle on the first `count` nets, unbuffered and buffered;
+  // returns the summed (marched, horizon) step counts.
+  static std::pair<std::size_t, std::size_t> check(
+      const sim::GoldenOptions& opt, std::size_t count,
+      const std::string& what, bool stage_peaks = false) {
+    const lib::BufferLibrary lib = lib::default_library();
+    std::pair<std::size_t, std::size_t> steps{0, 0};
+    for (std::size_t i = 0; i < count && i < nets_->size(); ++i) {
+      const Net& net = (*nets_)[i];
+      const std::string tag = what + " net " + std::to_string(i);
+      const auto a = expect_golden_matches_reference(
+          net.tree, rct::BufferAssignment{}, lib, opt, stage_peaks,
+          tag + " unbuffered");
+      const auto b = expect_golden_matches_reference(
+          net.result.tree, net.result.vg.buffers, lib, opt, stage_peaks,
+          tag + " buffered");
+      steps.first += a.first + b.first;
+      steps.second += a.second + b.second;
+    }
+    return steps;
+  }
+
+  static std::vector<Net>* nets_;
+};
+
+std::vector<GoldenEarlyExit::Net>* GoldenEarlyExit::nets_ = nullptr;
+
+TEST_F(GoldenEarlyExit, BitIdenticalToFullHorizonMarch) {
+  const auto opt = sim::golden_options_from(lib::default_technology());
+  const auto [marched, horizon] = check(opt, 100, "default", true);
+  EXPECT_LT(marched, horizon / 2) << "the early exit should skip most steps";
+}
+
+TEST_F(GoldenEarlyExit, BitIdenticalWithConvergenceCheck) {
+  auto opt = sim::golden_options_from(lib::default_technology());
+  opt.check_convergence = true;
+  check(opt, 100, "convergence", true);
+}
+
+TEST_F(GoldenEarlyExit, BitIdenticalAcrossStepSizes) {
+  for (double spr : {2.0, 50.0}) {
+    auto opt = sim::golden_options_from(lib::default_technology());
+    opt.steps_per_rise = spr;
+    check(opt, 100, "steps_per_rise " + std::to_string(spr));
+    opt.check_convergence = true;  // coarse steps exercise the throw path
+    check(opt, 100, "convergence steps_per_rise " + std::to_string(spr));
+  }
+}
+
+// The last two variants run on a quarter of the nets: nothing exits early
+// without coupling, so each net costs three full-horizon marches.
+TEST_F(GoldenEarlyExit, NoCouplingMarchesTheFullHorizon) {
+  // Zero peaks never clear the strict `<` test, so nothing exits early.
+  auto opt = sim::golden_options_from(lib::default_technology());
+  opt.coupling_ratio = 0.0;
+  const auto [marched, horizon] = check(opt, 25, "no coupling");
+  EXPECT_EQ(marched, horizon);
+}
+
+TEST_F(GoldenEarlyExit, DelayedAggressorWaitsForTheFlatRamp) {
+  // Before t0 every voltage is 0 < any peak; an exit there would be wrong.
+  auto opt = sim::golden_options_from(lib::default_technology());
+  opt.aggressor.t0 = 0.4 * ns;
+  const auto [marched, horizon] = check(opt, 25, "t0 > 0");
+  EXPECT_LT(marched, horizon);
 }
 
 }  // namespace

@@ -566,6 +566,12 @@ int signoff_main(int argc, char** argv) {
   std::printf("%-22s golden %+.3f V, metric %+.3f V, timing %+.1f ps\n",
               "worst slack:", w.worst_golden_slack, w.worst_metric_slack,
               w.worst_timing_slack / ps);
+  std::printf("%-22s marched %zu of %zu (%.1f%%)\n", "golden steps:",
+              w.golden_steps, w.golden_steps_horizon,
+              w.golden_steps_horizon > 0
+                  ? 100.0 * static_cast<double>(w.golden_steps) /
+                        static_cast<double>(w.golden_steps_horizon)
+                  : 0.0);
   if (w.pessimism.samples > 0) {
     std::printf("%-22s %zu sample(s), min %.2f / mean %.2f / max %.2f\n",
                 "pessimism ratio:", w.pessimism.samples, w.pessimism.min,
