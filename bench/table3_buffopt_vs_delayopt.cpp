@@ -40,7 +40,7 @@ int main() {
       const auto res = core::run_buffopt(net.tree, library, opt);
       r.violating_nets += res.noise_after.violation_count > 0 ? 1 : 0;
       r.buffers += res.vg.buffer_count;
-      r.candidates += res.vg.candidates_created;
+      r.candidates += res.vg.stats.candidates_generated;
       r.cpu += res.optimize_seconds;
       r.max_net_buffers = std::max(r.max_net_buffers, res.vg.buffer_count);
     }
@@ -53,7 +53,7 @@ int main() {
       const auto res = core::run_delayopt(net.tree, library, k);
       r.violating_nets += res.noise_after.violation_count > 0 ? 1 : 0;
       r.buffers += res.vg.buffer_count;
-      r.candidates += res.vg.candidates_created;
+      r.candidates += res.vg.stats.candidates_generated;
       r.cpu += res.optimize_seconds;
       r.max_net_buffers = std::max(r.max_net_buffers, res.vg.buffer_count);
     }

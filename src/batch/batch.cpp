@@ -93,7 +93,6 @@ BatchResult BatchEngine::run(const std::vector<BatchNet>& nets,
   if (nets.empty()) return out;
 
   core::ToolOptions tool = opt_.tool;
-  tool.vg.collect_stats = opt_.collect_stats;
   tool.vg.max_buffers = opt_.max_buffers;
 
   // Each worker claims the next unprocessed index and writes into that

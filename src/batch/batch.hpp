@@ -13,8 +13,8 @@
 // the options), so results[i] is bit-identical for ANY thread count and ANY
 // schedule, and the aggregated VgStats counters are schedule-independent
 // (they are summed serially, in index order, after the pool joins). Only
-// wall-clock fields (ToolResult::optimize_seconds, the VgStats phase times,
-// BatchSummary::wall_seconds) vary run to run.
+// wall-clock fields (ToolResult::optimize_seconds,
+// BatchSummary::wall_seconds / dp_seconds) vary run to run.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +52,6 @@ struct BatchOptions {
   BatchMode mode = BatchMode::BuffOpt;
   std::size_t max_buffers = 24;  // DelayOpt cap (also forwarded to the DP)
   core::ToolOptions tool;        // segmenting + Van Ginneken knobs
-  bool collect_stats = false;    // per-phase DP wall times (counters are
-                                 // always collected)
 };
 
 // One unit of work: a named routing tree.
@@ -70,7 +68,7 @@ struct BatchSummary {
   std::size_t noise_clean_after = 0;
   std::size_t timing_met = 0;
   std::size_t buffers_inserted = 0;  // total over all nets
-  util::VgStats stats;               // aggregated DP counters (+ times)
+  util::VgStats stats;               // aggregated DP counters
   double wall_seconds = 0.0;         // end-to-end batch wall time
   double dp_seconds = 0.0;           // sum of per-net DP times (CPU-ish)
 

@@ -3,26 +3,16 @@
 // merge), factored out of vanginneken_fast.cpp so tests/test_soa_kernel can
 // drive them directly over the tail-loop regression corpus.
 //
-// Vectorization policy (docs/perf.md): a sweep body may carry
-// `#pragma omp simd` ONLY when it is strictly elementwise — iteration i
-// reads and writes lane slot i and nothing else — because then vector and
-// scalar execution perform the exact same IEEE operations per element and
-// the results are bit-identical (both kernel TUs additionally pin
-// -ffp-contract=off so no codegen path fuses a multiply-add the other
-// doesn't). Anything order-dependent — the running-best-slack Pareto
-// decision, stream compaction, reductions — stays in plain loops here.
-// The pragma text is only emitted when the TU is compiled with
-// NBUF_SIMD_ENABLED=1 (the CMake NBUF_SIMD=auto path adds -fopenmp-simd
-// and the define to the kernel TU); every sweep also takes a runtime
-// `simd` flag (VgOptions::simd) so one binary can A/B vector vs scalar —
-// the self-differential of tests/test_soa_kernel. The `unchecked-simd`
-// lint rule keeps `#pragma omp simd` out of every other file under src/.
+// Every loop here performs the reference kernel's exact IEEE operations per
+// element, in the same order, so the fast kernel stays bit-identical to it
+// (both kernel TUs pin -ffp-contract=off so no codegen path fuses a
+// multiply-add the other doesn't). The elementwise loops are plain loops:
+// an `omp simd` dispatch over them measured ~1.0x (docs/perf.md).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -30,60 +20,24 @@
 
 namespace nbuf::core::detail::soa {
 
-#if defined(NBUF_SIMD_ENABLED) && NBUF_SIMD_ENABLED
-#define NBUF_SIMD_PRAGMA _Pragma("omp simd")
-inline constexpr bool kSimdCompiled = true;
-#else
-#define NBUF_SIMD_PRAGMA
-inline constexpr bool kSimdCompiled = false;
-#endif
-
-// Double lanes of the widest vector unit this build targets; feeds the
-// soa_full_lane_elems / soa_tail_elems utilization counters (a pure
-// function of sweep lengths — identical at any thread count and in both
-// simd modes).
-inline constexpr std::size_t kSimdLanes =
-#if defined(__AVX512F__)
-    8;
-#elif defined(__AVX__)
-    4;
-#elif defined(__SSE2__) || defined(__aarch64__) || defined(__ARM_NEON)
-    2;
-#else
-    1;
-#endif
-
-// Runs f(0), ..., f(n-1): under the omp-simd pragma when the build compiled
-// it AND the run asked for it, as a plain loop otherwise. f must be
-// elementwise (see the header comment) — the pragma asserts independence.
-template <class F>
-inline void sweep(bool simd, std::size_t n, F&& f) {
-  if (kSimdCompiled && simd) {
-    NBUF_SIMD_PRAGMA
-    for (std::size_t i = 0; i < n; ++i) f(i);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) f(i);
-  }
-}
-
 // One lazy wire offset materialized over a whole list: the reference
 // kernel's exact per-candidate expressions (vanginneken.cpp extend_wire),
-// elementwise over the lanes — the flagship SIMD sweep.
+// elementwise over the lanes.
 inline void apply_wire(SoAList& l, const double res, const double cap,
-                       const double coupling, bool simd) {
+                       const double coupling) {
   double* load = l.load();
   double* slack = l.slack();
   double* current = l.current();
   double* noise_slack = l.noise_slack();
   double* dhat = l.dhat();
-  sweep(simd, l.size(), [=](std::size_t i) {
+  for (std::size_t i = 0; i < l.size(); ++i) {
     const double wire_delay = res * (cap / 2.0 + load[i]);
     slack[i] -= wire_delay;
     dhat[i] += wire_delay;
     load[i] += cap;
     noise_slack[i] -= res * (coupling / 2.0 + current[i]);
     current[i] += coupling;
-  });
+  }
 }
 
 struct PruneResult {
@@ -93,28 +47,13 @@ struct PruneResult {
 };
 
 // The fused dead + Pareto prune over a cand_less-sorted list, the kernels'
-// exact decision order per element — dead first, then the running-best-
-// slack dominance test. Under noise constraints the alive mask comes from
-// one elementwise (vectorizable) sweep over the noise_slack lane; the
-// inherently sequential Pareto decision and the survivor compaction then
-// run as ONE fused in-place scan — a survivor's six lane slots move
-// together, and nothing moves at all until the first kill (the common case
-// on converged lists — soa_prunes_no_move). `keep` is caller-owned scratch.
-inline PruneResult prune_sweep(SoAList& l, bool noise, bool pareto,
-                               bool simd, std::vector<unsigned char>& keep) {
+// exact decision order per element — dead first (under noise constraints),
+// then the running-best-slack dominance test — as ONE in-place scan: a
+// survivor's six lane slots move together, and nothing moves at all until
+// the first kill (the common case on converged lists — soa_prunes_no_move).
+inline PruneResult prune_sweep(SoAList& l, bool noise) {
   const std::size_t n = l.size();
   PruneResult r;
-  if (n == 0 || (!noise && !pareto)) return r;
-  const unsigned char* k = nullptr;
-  if (noise) {
-    keep.resize(n);
-    unsigned char* kw = keep.data();
-    const double* ns = l.noise_slack();
-    sweep(simd, n, [=](std::size_t i) {
-      kw[i] = ns[i] >= 0.0 ? 1 : 0;
-    });
-    k = kw;
-  }
   double* load = l.load();
   double* slack = l.slack();
   double* current = l.current();
@@ -124,17 +63,15 @@ inline PruneResult prune_sweep(SoAList& l, bool noise, bool pareto,
   double best = -std::numeric_limits<double>::infinity();
   std::size_t o = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (k != nullptr && k[i] == 0) {
+    if (noise && !(noise_slack[i] >= 0.0)) {  // NaN counts as dead
       ++r.dead;
       continue;
     }
-    if (pareto) {
-      if (slack[i] <= best) {
-        ++r.inferior;
-        continue;
-      }
-      best = slack[i];
+    if (slack[i] <= best) {
+      ++r.inferior;
+      continue;
     }
+    best = slack[i];
     if (o != i) {
       load[o] = load[i];
       slack[o] = slack[i];
@@ -178,12 +115,12 @@ inline std::size_t emit_pairs(const CandSpan& a, const CandSpan& b,
 }
 
 // Elementwise body of the merge: appends the m paired combinations to dst's
-// value lanes as one gather sweep (sum / min / min / max — the reference
+// value lanes in one pass (sum / min / min / max — the reference
 // kernel's exact expressions). The plan lane of the appended range is NOT
 // filled here — arena allocation is sequential and stays with the caller.
 inline void merge_fill(const CandSpan& a, const CandSpan& b,
                        const std::uint32_t* ia, const std::uint32_t* jb,
-                       std::size_t m, SoAList& dst, bool simd) {
+                       std::size_t m, SoAList& dst) {
   const std::size_t base = dst.size();
   dst.reserve(base + m);
   dst.set_size(base + m);
@@ -192,7 +129,7 @@ inline void merge_fill(const CandSpan& a, const CandSpan& b,
   double* current = dst.current() + base;
   double* noise_slack = dst.noise_slack() + base;
   double* dhat = dst.dhat() + base;
-  sweep(simd, m, [=](std::size_t o) {
+  for (std::size_t o = 0; o < m; ++o) {
     const std::uint32_t i = ia[o];
     const std::uint32_t j = jb[o];
     load[o] = a.load[i] + b.load[j];
@@ -200,48 +137,27 @@ inline void merge_fill(const CandSpan& a, const CandSpan& b,
     current[o] = a.current[i] + b.current[j];
     noise_slack[o] = std::min(a.noise_slack[i], b.noise_slack[j]);
     dhat[o] = std::max(a.dhat[i], b.dhat[j]);
-  });
+  }
 }
 
 // Reorders src by the index permutation `perm` into dst (cleared first) —
-// one gather sweep per lane. The permutation machinery (sorts, cascaded
-// run merges, tail merges) works on indices and pays this single gather
+// one gather pass per lane. The permutation machinery (sorts, cascaded run
+// merges, tail merges) works on indices and pays this single gather
 // instead of repeatedly moving 48-byte structs.
 inline void gather(const SoAList& src, const std::uint32_t* perm,
-                   std::size_t n, SoAList& dst, bool simd) {
+                   std::size_t n, SoAList& dst) {
   dst.clear();
   dst.reserve(n);
   dst.set_size(n);
-  {
-    const double* in = src.load();
-    double* out = dst.load();
-    sweep(simd, n, [=](std::size_t o) { out[o] = in[perm[o]]; });
-  }
-  {
-    const double* in = src.slack();
-    double* out = dst.slack();
-    sweep(simd, n, [=](std::size_t o) { out[o] = in[perm[o]]; });
-  }
-  {
-    const double* in = src.current();
-    double* out = dst.current();
-    sweep(simd, n, [=](std::size_t o) { out[o] = in[perm[o]]; });
-  }
-  {
-    const double* in = src.noise_slack();
-    double* out = dst.noise_slack();
-    sweep(simd, n, [=](std::size_t o) { out[o] = in[perm[o]]; });
-  }
-  {
-    const double* in = src.dhat();
-    double* out = dst.dhat();
-    sweep(simd, n, [=](std::size_t o) { out[o] = in[perm[o]]; });
-  }
-  {
-    const PlanRef* in = src.plan();
-    PlanRef* out = dst.plan();
-    sweep(simd, n, [=](std::size_t o) { out[o] = in[perm[o]]; });
-  }
+  const auto lane = [&](const auto* in, auto* out) {
+    for (std::size_t o = 0; o < n; ++o) out[o] = in[perm[o]];
+  };
+  lane(src.load(), dst.load());
+  lane(src.slack(), dst.slack());
+  lane(src.current(), dst.current());
+  lane(src.noise_slack(), dst.noise_slack());
+  lane(src.dhat(), dst.dhat());
+  lane(src.plan(), dst.plan());
 }
 
 }  // namespace nbuf::core::detail::soa

@@ -49,7 +49,6 @@ void ReferenceDp::prune(CandList& list) {
 
 void ReferenceDp::extend_wire(NodeLists& lists, rct::NodeId child) {
   NBUF_TRACE_DETAIL_TAGGED("vg.wire", lists.total_size());
-  const PhaseTimer timer(timed(&util::VgStats::wire_seconds));
   const rct::Wire& w = tree_.node(child).parent_wire;
   if (w.length <= 0.0 && w.resistance <= 0.0 && w.capacitance <= 0.0)
     return;  // binarization dummy
@@ -101,7 +100,6 @@ void ReferenceDp::extend_wire(NodeLists& lists, rct::NodeId child) {
 
 void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
   NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.total_size());
-  const PhaseTimer timer(timed(&util::VgStats::buffer_seconds));
   // Snapshot the pre-insertion lists: every type considers only unbuffered-
   // at-v candidates, enforcing one buffer per node (Step 5). Reading
   // `lists` directly would let a later type stack on top of an earlier
@@ -174,7 +172,6 @@ void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
 
 NodeLists ReferenceDp::merge(const NodeLists& l, const NodeLists& r) {
   NBUF_TRACE_DETAIL_TAGGED("vg.merge", l.total_size() + r.total_size());
-  const PhaseTimer timer(timed(&util::VgStats::merge_seconds));
   const std::size_t kmax = opt_.max_buffers;
   NodeLists out;
   for (auto& pl : out.by_phase) pl.resize(kmax + 1);
@@ -301,7 +298,7 @@ void verify_cand_list(const CandSpan& view, const VgOptions& opt,
     if (opt.noise_constraints)
       NBUF_ASSERT_CTX(view.noise_slack[i] >= 0.0,
                       util::ctx("i", i, "noise_slack", view.noise_slack[i]));
-    if (opt.prune_candidates && i > 0) {
+    if (i > 0) {
       NBUF_ASSERT_CTX(view.load[i - 1] < view.load[i],
                       util::ctx("i", i, "load[i-1]", view.load[i - 1],
                                 "load[i]", view.load[i]));
@@ -348,9 +345,6 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
   }
 
   result.stats = stats;
-  result.candidates_created = stats.candidates_generated;
-  result.max_list_size = stats.peak_list_size;
-  result.candidates_noise_pruned = stats.pruned_infeasible;
 
   if (result.per_count.empty()) {
     // No candidate satisfies the noise constraints at any count (possible
@@ -401,7 +395,7 @@ VgResult optimize(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
                                "library types", lib.size()));
     for (std::size_t c : options.buffer_costs) NBUF_EXPECTS(c >= 1);
   }
-  if (options.kernel == VgKernel::Reference) {
+  if (options.kernel == VgKernel::Reference || !options.prune_candidates) {
     PlanArena arena;
     detail::ReferenceDp run(tree, lib, options, arena);
     return run.run();

@@ -41,7 +41,9 @@ enum class VgObjective {
 // Which DP inner-loop implementation runs. Both produce bit-identical
 // VgResults (same pruning semantics, same tie-break order); the fast kernel
 // is the default and the reference kernel is retained as the differential-
-// test oracle (tests/test_vg_kernel) and for A/B timing (bench/figI).
+// test oracle (tests/test_vg_kernel) and for A/B timing (bench/figI). The
+// unpruned ablation (prune_candidates = false) always runs the reference
+// kernel.
 enum class VgKernel {
   // Li & Shi-style kernel: candidate lists keep the (load asc, slack desc)
   // sort invariant across wire extension, merge, and buffer insertion, so
@@ -56,23 +58,9 @@ enum class VgKernel {
   Reference,
 };
 
-// Runtime dispatch of the fast kernel's vectorized SoA sweeps
-// (core/soa_sweeps.hpp). Auto runs the `#pragma omp simd` sweep bodies when
-// the build compiled them (CMake NBUF_SIMD=auto with a compiler supporting
-// -fopenmp-simd); Off forces the scalar fallback. Results are bit-identical
-// either way — every pragma'd loop is strictly elementwise and the kernel
-// TUs pin -ffp-contract=off — pinned by tests/test_soa_kernel's
-// scalar-vs-SIMD self-differential, so this is a measurement/ablation knob
-// (bench/figM_soa_ablation), not a semantics switch.
-enum class SimdMode {
-  Auto,
-  Off,
-};
-
-// Whether this build compiled the vector sweep bodies (NBUF_SIMD resolved
-// to enabled). When false, SimdMode::Auto and SimdMode::Off run the same
-// scalar code — benches report it so an ablation row of 1.0x is readable.
-[[nodiscard]] bool simd_compiled() noexcept;
+// Always false: the kernels have no vectorized dispatch. Kept only because
+// the benchmark's host fingerprint (perfbench/src/host.cpp) reports it.
+[[nodiscard]] inline bool simd_compiled() noexcept { return false; }
 
 struct VgOptions {
   bool noise_constraints = true;   // true = BuffOpt, false = DelayOpt
@@ -80,7 +68,8 @@ struct VgOptions {
   VgObjective objective = VgObjective::MaxSlack;
   // Ablation knob: disable (load, slack) dominance pruning (Step 7). The
   // result is unchanged — pruning is provably safe — but candidate lists
-  // grow; bench/ablA_pruning measures by how much.
+  // grow; bench/ablA_pruning measures by how much. Runs the reference
+  // kernel whatever `kernel` says.
   bool prune_candidates = true;
   // Simultaneous wire sizing (Lillis et al.): when non-empty, every wire is
   // additionally assigned one of these widths during the same DP. Width 0
@@ -100,15 +89,8 @@ struct VgOptions {
   // MinBuffersMeetingConstraints then minimizes total cost, and
   // `max_buffers` caps total cost.
   std::vector<std::size_t> buffer_costs;
-  // Additionally measure per-phase wall time into VgResult::stats (the
-  // counters in there are always exact; only the clock reads are opt-in).
-  bool collect_stats = false;
   // DP inner-loop implementation; results are identical either way.
   VgKernel kernel = VgKernel::Fast;
-  // Vector-vs-scalar dispatch of the fast kernel's SoA sweeps; results are
-  // identical either way (see the SimdMode comment). Ignored by the
-  // reference kernel.
-  SimdMode simd = SimdMode::Auto;
   // Both kernels re-verify the sort/Pareto/no-dead-candidate invariants of
   // every candidate list after each DP step (detail::verify_cand_list) and
   // throw on violation. O(k) per step. Runs when this is set OR when the
@@ -141,15 +123,7 @@ struct VgResult {
   double slack = 0.0;
   std::vector<CountBest> per_count;  // ascending by count; only counts that
                                      // produced any candidate appear
-  // Ablation counters (legacy aliases of the fields in `stats`, kept for
-  // the existing benches: created = stats.candidates_generated, max list =
-  // stats.peak_list_size, noise pruned = stats.pruned_infeasible).
-  std::size_t candidates_created = 0;
-  std::size_t max_list_size = 0;
-  std::size_t candidates_noise_pruned = 0;
-  // Full DP-efficiency counter block (Li & Shi lens); wall times are filled
-  // only when VgOptions::collect_stats is set.
-  util::VgStats stats;
+  util::VgStats stats;  // DP-efficiency counters (Li & Shi lens)
 };
 
 // Runs the DP on `tree` (must be binary; run seg::segment first to create

@@ -34,22 +34,20 @@
 //     (core/soa.hpp): one contiguous aligned lane per DP field plus a
 //     32-bit plan-ref lane. The hot loops — the fused dead+Pareto prune,
 //     the wire-offset flush, and the bucket-major merge — stream one lane
-//     at a time as the branch-light sweeps of core/soa_sweeps.hpp,
-//     vectorized under `#pragma omp simd` when the build compiled them
-//     (NBUF_SIMD=auto) and the run asked for them (VgOptions::simd).
-//     Every pragma'd loop is strictly elementwise, so vector and scalar
-//     execution are bit-identical. Order-dependent work — Pareto keep
-//     decisions, tail sorts, cascaded run merges — runs over 32-bit index
-//     permutations with ONE gather per lane at the end instead of
-//     repeatedly moving 48-byte structs.
+//     at a time as the branch-light sweeps of core/soa_sweeps.hpp.
+//     Order-dependent work — tail sorts, cascaded run merges — runs over
+//     32-bit index permutations with ONE gather per lane at the end instead
+//     of repeatedly moving 48-byte structs.
 //
 // Candidate blocks are recycled whole through a per-run core::SoAPool next
 // to the PlanArena, so steady-state DP makes no allocator calls.
 //
+// The kernel assumes dominance pruning (VgOptions::prune_candidates):
+// core::optimize sends the unpruned ablation to the reference kernel.
 // Bit-identity with the reference kernel (same pruning decisions, same
 // tie-break order, same legacy VgStats counters) is pinned by
 // tests/test_vg_kernel.cpp and tests/test_soa_kernel.cpp; the speedup is
-// measured by bench/figI_kernel_speedup and bench/figM_soa_ablation.
+// measured by bench/figI_kernel_speedup.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -88,7 +86,6 @@ class FastVgRun {
         lib_(lib),
         opt_(opt),
         sizing_(!opt.wire_widths.empty()),
-        simd_(opt.simd == SimdMode::Auto),
         type_order_(TypeOrder::make(lib)) {
     for (auto& sizes : view_sizes_) sizes.resize(opt_.max_buffers + 1, 0);
     min_cost_ = 1;
@@ -112,7 +109,6 @@ class FastVgRun {
   void flush(Lists& lists);
   void extend_wire(Lists& lists, rct::NodeId child);
   void insert_buffers(Lists& lists, rct::NodeId v);
-  void insert_buffers_naive(Lists& lists, rct::NodeId v);
   void insert_buffers_best_pred(Lists& lists, rct::NodeId v);
   Lists merge(Lists l, Lists r);
 
@@ -130,28 +126,14 @@ class FastVgRun {
     return true;
   }
   void note_created(std::size_t n) { stats_.candidates_generated += n; }
-  // Lane-utilization bookkeeping for one simd-eligible sweep of length n:
-  // how much of it fills whole vectors vs. the scalar epilogue. A pure
-  // function of the sweep lengths, so it reproduces at any thread count
-  // and in both simd modes.
-  void note_sweep(std::size_t n) {
-    const std::size_t tail = n % soa::kSimdLanes;
-    stats_.soa_full_lane_elems += n - tail;
-    stats_.soa_tail_elems += tail;
-  }
-  [[nodiscard]] double* timed(double util::VgStats::*field) {
-    return opt_.collect_stats ? &(stats_.*field) : nullptr;
-  }
 
   const rct::RoutingTree& tree_;
   const lib::BufferLibrary& lib_;
   const VgOptions& opt_;
   const bool sizing_;
-  const bool simd_;
   PlanArena arena_;
   SoAPool pool_;
   SoAList scratch_;                       // gather target, swapped back
-  std::vector<unsigned char> keep_;       // prune keep flags
   std::vector<std::uint32_t> perm_;       // index-permutation scratch
   std::vector<std::uint32_t> ia_, jb_;    // merge pair indices
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
@@ -170,7 +152,7 @@ class FastVgRun {
 };
 
 // Pareto pruning on (load, slack) only — paper Step 7 — with dead-candidate
-// removal (NS < 0) fused into the same lane sweeps (soa::prune_sweep).
+// removal (NS < 0) fused into the same lane scan (soa::prune_sweep).
 // `known_sorted` callers maintained the sort invariant, so no sort runs.
 void FastVgRun::prune(SoAList& list, bool known_sorted) {
   NBUF_TRACE_DETAIL_TAGGED("vg.prune", list.size());
@@ -181,9 +163,7 @@ void FastVgRun::prune(SoAList& list, bool known_sorted) {
     sort_list(list);
     ++stats_.prune_sorts;
   }
-  if (opt_.noise_constraints) note_sweep(list.size());
-  const soa::PruneResult pr = soa::prune_sweep(
-      list, opt_.noise_constraints, opt_.prune_candidates, simd_, keep_);
+  const soa::PruneResult pr = soa::prune_sweep(list, opt_.noise_constraints);
   stats_.pruned_infeasible += pr.dead;
   stats_.pruned_inferior += pr.inferior;
   if (!pr.moved) ++stats_.soa_prunes_no_move;
@@ -204,8 +184,7 @@ void FastVgRun::sort_list(SoAList& list) {
             [&](std::uint32_t x, std::uint32_t y) {
               return soa_cand_less(s, x, y, arena_);
             });
-  note_sweep(n);
-  soa::gather(list, perm_.data(), n, scratch_, simd_);
+  soa::gather(list, perm_.data(), n, scratch_);
   list.swap(scratch_);
 }
 
@@ -267,9 +246,7 @@ void FastVgRun::merge_runs(SoAList& list) {
 void FastVgRun::apply_wire_and_prune(SoAList& list, const rct::Wire& w) {
   ++stats_.offset_flushes;
   stats_.soa_flush_elems += list.size();
-  note_sweep(list.size());
-  soa::apply_wire(list, w.resistance, w.capacitance, w.coupling_current,
-                  simd_);
+  soa::apply_wire(list, w.resistance, w.capacitance, w.coupling_current);
   prune(list, list_is_sorted(list));
 }
 
@@ -280,7 +257,6 @@ void FastVgRun::apply_wire_and_prune(SoAList& list, const rct::Wire& w) {
 void FastVgRun::flush(Lists& lists) {
   if (lists.pending.empty()) return;
   NBUF_TRACE_DETAIL_TAGGED("vg.wire_offset", lists.pending.size());
-  const PhaseTimer timer(timed(&util::VgStats::wire_seconds));
   for (const rct::Wire* w : lists.pending) {
     for (auto& phase_lists : lists.node.by_phase) {
       for (SoAList& list : phase_lists) {
@@ -306,7 +282,6 @@ void FastVgRun::extend_wire(Lists& lists, rct::NodeId child) {
   // where the sort invariant genuinely breaks and prune must sort.
   NBUF_ASSERT(lists.pending.empty());
   NBUF_TRACE_DETAIL_TAGGED("vg.wire", lists.node.total_size());
-  const PhaseTimer timer(timed(&util::VgStats::wire_seconds));
   for (auto& phase_lists : lists.node.by_phase) {
     for (SoAList& list : phase_lists) {
       if (list.empty()) continue;
@@ -395,7 +370,6 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
   NBUF_ASSERT_MSG(lists.pending.empty(),
                   "lazy wire offsets must be flushed before insert_buffers");
   NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.node.total_size());
-  const PhaseTimer timer(timed(&util::VgStats::buffer_seconds));
   // Read views: every type considers only unbuffered-at-v candidates,
   // enforcing one buffer per node (Step 5). Appends only ever push beyond
   // each bucket's pre-insertion size, so scanning that prefix reads exactly
@@ -407,13 +381,7 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
       stats_.snapshot_cands_avoided += n;
     }
   }
-  if (opt_.prune_candidates) {
-    insert_buffers_best_pred(lists, v);
-  } else {
-    // Ablation mode: without dominance pruning the lists are not Pareto
-    // staircases, so the grouped best-predecessor structure does not apply.
-    insert_buffers_naive(lists, v);
-  }
+  insert_buffers_best_pred(lists, v);
   const std::size_t bucket_count = opt_.max_buffers + 1;
   for (int phase = 0; phase < 2; ++phase) {
     for (std::size_t k = 0; k < bucket_count; ++k) {
@@ -425,50 +393,7 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
   }
 }
 
-// The seed scan: every type reads every candidate of every bucket, O(b·m)
-// per bucket. Kept for the prune_candidates=false ablation only.
-void FastVgRun::insert_buffers_naive(Lists& lists, rct::NodeId v) {
-  const std::size_t bucket_count = opt_.max_buffers + 1;
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  for (lib::BufferId bid : lib_.ids()) {
-    const lib::BufferType& b = lib_.at(bid);
-    // Cost of inserting this type (Lillis power-function generalization;
-    // defaults to 1 = plain counting).
-    const std::size_t cost =
-        opt_.buffer_costs.empty() ? 1 : opt_.buffer_costs[bid.value()];
-    for (int in_phase = 0; in_phase < 2; ++in_phase) {
-      const int out_phase = b.inverting ? 1 - in_phase : in_phase;
-      const auto& buckets = lists.node.by_phase[in_phase];
-      for (std::size_t k = 0; k + cost < bucket_count; ++k) {
-        // Best resulting slack over the count-k view (Fig. 11 Step 5).
-        const CandSpan c = buckets[k].span(view_sizes_[in_phase][k]);
-        std::size_t best = kNone;
-        double best_q = -std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < c.n; ++i) {
-          if (opt_.noise_constraints &&
-              b.resistance * c.current[i] > c.noise_slack[i])
-            continue;  // would violate noise: never create this candidate
-          if (elmore::kSlewFactor * (b.resistance * c.load[i] + c.dhat[i]) >
-              opt_.max_slew)
-            continue;  // the buffer's stage would see too slow an edge
-          const double q =
-              c.slack[i] - b.intrinsic_delay - b.resistance * c.load[i];
-          if (q > best_q) {
-            best_q = q;
-            best = i;
-          }
-        }
-        if (best == kNone) continue;
-        lists.node.by_phase[out_phase][k + cost].push_back(
-            b.input_cap, best_q, 0.0, b.noise_margin, 0.0,
-            arena_.buffer_ref(c.plan[best], PlannedBuffer{v, 0.0, bid}));
-        note_created(1);
-      }
-    }
-  }
-}
-
-// Grouped insertion (the default): bucket-major so each bucket's
+// Grouped insertion: bucket-major so each bucket's
 // feasibility groups are built once (one binary search per candidate) and
 // every type's best predecessor comes out of one predicate-free
 // candidate-major pass (select_all). New candidates are buffered per type
@@ -544,7 +469,6 @@ FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
                   "lazy wire offsets must be flushed before merge");
   NBUF_TRACE_DETAIL_TAGGED("vg.merge",
                            l.node.total_size() + r.node.total_size());
-  const PhaseTimer timer(timed(&util::VgStats::merge_seconds));
   const std::size_t kmax = opt_.max_buffers;
   Lists out;
   for (auto& pl : out.node.by_phase) pl.resize(kmax + 1);
@@ -564,14 +488,13 @@ FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
         if (dst.capacity() == 0) dst = pool_.acquire();
         run_bounds_.push_back(dst.size());
         // Van Ginneken linear merge, split lane-wise: the sequential
-        // advance walk records index pairs, then one gather sweep fills
-        // the value lanes and a scalar loop allocates the plan merges.
+        // advance walk records index pairs, then one gather pass fills
+        // the value lanes and a second loop allocates the plan merges.
         const CandSpan sa = a.span();
         const CandSpan sb = b.span();
         const std::size_t m = soa::emit_pairs(sa, sb, ia_, jb_);
         const std::size_t base = dst.size();
-        note_sweep(m);
-        soa::merge_fill(sa, sb, ia_.data(), jb_.data(), m, dst, simd_);
+        soa::merge_fill(sa, sb, ia_.data(), jb_.data(), m, dst);
         PlanRef* dp = dst.plan() + base;
         for (std::size_t o = 0; o < m; ++o)
           dp[o] = arena_.merge_ref(sa.plan[ia_[o]], sb.plan[jb_[o]]);
@@ -795,16 +718,9 @@ void BestPredecessors::select_all(const lib::BufferLibrary& lib,
 VgResult run_fast_kernel(const rct::RoutingTree& tree,
                          const lib::BufferLibrary& lib,
                          const VgOptions& opt) {
+  NBUF_ASSERT(opt.prune_candidates);
   FastVgRun run(tree, lib, opt);
   return run.run();
 }
 
 }  // namespace nbuf::core::detail
-
-namespace nbuf::core {
-
-// Defined in this TU because it is the one compiled with
-// -DNBUF_SIMD_ENABLED when NBUF_SIMD resolves to enabled.
-bool simd_compiled() noexcept { return detail::soa::kSimdCompiled; }
-
-}  // namespace nbuf::core

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <vector>
 
@@ -19,29 +18,6 @@
 #include "util/stats.hpp"
 
 namespace nbuf::core::detail {
-
-// Accumulates wall time into `*sink` on destruction; no-op when `sink` is
-// null (stats collection off), so the default path never reads the clock.
-// The clock reads feed VgStats phase timers only — stats output, never a
-// DP decision (docs/quality.md "wallclock-in-core" policy).
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* sink) : sink_(sink) {
-    if (sink_) start_ = std::chrono::steady_clock::now();  // nbuf-lint: allow(wallclock-in-core)
-  }
-  ~PhaseTimer() {
-    if (sink_)
-      *sink_ += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)  // nbuf-lint: allow(wallclock-in-core)
-                    .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 struct VgCand {
   double load = 0.0;         // C — downstream capacitance
@@ -200,8 +176,8 @@ inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
 // O(n) per call; throws std::logic_error (NBUF_ASSERT) on violation.
 void verify_cand_list(const CandList& list, const VgOptions& opt);
 
-// The same verification over an SoA view (fast kernel): sorted by
-// soa_cand_less, strict Pareto staircase under dominance pruning, no dead
+// The same verification over an SoA view (fast kernel, which always prunes
+// by dominance): sorted by soa_cand_less, strict Pareto staircase, no dead
 // candidate under noise constraints. The arena resolves plan ties.
 void verify_cand_list(const CandSpan& view, const VgOptions& opt,
                       const PlanArena& arena);
@@ -359,9 +335,6 @@ class ReferenceDp {
   void insert_buffers(NodeLists& lists, rct::NodeId v);
   NodeLists merge(const NodeLists& l, const NodeLists& r);
   void note_created(std::size_t n) { stats_.candidates_generated += n; }
-  [[nodiscard]] double* timed(double util::VgStats::*field) {
-    return opt_.collect_stats ? &(stats_.*field) : nullptr;
-  }
 
   const rct::RoutingTree& tree_;
   const lib::BufferLibrary& lib_;

@@ -84,28 +84,20 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void record_vg_stats(MetricsRegistry& reg, const util::VgStats& stats) {
-  reg.counter("vg.candidates_generated").add(stats.candidates_generated);
-  reg.counter("vg.pruned_inferior").add(stats.pruned_inferior);
-  reg.counter("vg.pruned_infeasible").add(stats.pruned_infeasible);
-  reg.counter("vg.merged").add(stats.merged);
-  reg.counter("vg.prune_calls").add(stats.prune_calls);
-  reg.counter("vg.prune_sorts").add(stats.prune_sorts);
-  reg.counter("vg.prune_sorts_skipped").add(stats.prune_sorts_skipped);
-  reg.counter("vg.offset_flushes").add(stats.offset_flushes);
-  reg.counter("vg.snapshot_cands_avoided").add(stats.snapshot_cands_avoided);
-  reg.counter("vg.pool_reuses").add(stats.pool_reuses);
-  reg.counter("vg.bp_prune_calls").add(stats.bp_prune_calls);
-  reg.counter("vg.bp_candidates_killed").add(stats.bp_candidates_killed);
-  reg.counter("vg.soa_block_reuses").add(stats.soa_block_reuses);
-  reg.counter("vg.soa_flush_elems").add(stats.soa_flush_elems);
-  reg.counter("vg.soa_full_lane_elems").add(stats.soa_full_lane_elems);
-  reg.counter("vg.soa_tail_elems").add(stats.soa_tail_elems);
-  reg.counter("vg.soa_prunes_no_move").add(stats.soa_prunes_no_move);
-  reg.gauge("lib.types").set(static_cast<double>(stats.lib_types));
-  reg.histogram("vg.peak_list_size").observe(stats.peak_list_size);
-  reg.gauge("vg.wire_seconds").add(stats.wire_seconds);
-  reg.gauge("vg.buffer_seconds").add(stats.buffer_seconds);
-  reg.gauge("vg.merge_seconds").add(stats.merge_seconds);
+  for (const util::VgStatsField& f : util::kVgStatsFields) {
+    const std::size_t v = stats.*f.member;
+    switch (f.metric) {
+      case util::VgStatsField::Metric::Counter:
+        reg.counter(f.metric_name).add(v);
+        break;
+      case util::VgStatsField::Metric::Histogram:
+        reg.histogram(f.metric_name).observe(v);
+        break;
+      case util::VgStatsField::Metric::Gauge:
+        reg.gauge(f.metric_name).set(static_cast<double>(v));
+        break;
+    }
+  }
 }
 
 void record_trace(MetricsRegistry& reg, const TraceData& data) {

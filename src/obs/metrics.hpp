@@ -154,8 +154,9 @@ class MetricsRegistry {
 
 // Adapters: fold existing stat blocks into a registry under stable names.
 //
-// VgStats DP counters land as "vg.<field>" counters and the opt-in phase
-// timers as "vg.<phase>_seconds" gauges.
+// VgStats fields land under the instrument and name their
+// util::kVgStatsFields entry gives: "vg.<field>" counters, the
+// "vg.peak_list_size" histogram and the "lib.types" gauge.
 void record_vg_stats(MetricsRegistry& reg, const util::VgStats& stats);
 
 // Trace-derived aggregates: per span name, "trace.<name>.count" counter,

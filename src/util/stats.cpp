@@ -2,51 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "util/check.hpp"
 
 namespace nbuf::util {
 
 std::string format(const VgStats& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "generated %zu, pruned inferior %zu, pruned infeasible %zu, "
-                "merged %zu, peak list %zu",
-                s.candidates_generated, s.pruned_inferior,
-                s.pruned_infeasible, s.merged, s.peak_list_size);
-  std::string out = buf;
-  if (s.prune_calls > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "; prune calls %zu (sorted scans %zu, sorts %zu), "
-                  "offset flushes %zu, snapshot cands avoided %zu, "
-                  "pooled reuses %zu",
-                  s.prune_calls, s.prune_sorts_skipped, s.prune_sorts,
-                  s.offset_flushes, s.snapshot_cands_avoided, s.pool_reuses);
-    out += buf;
-  }
-  if (s.bp_prune_calls > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "; lib types %zu, best-pred preps %zu, bp killed %zu",
-                  s.lib_types, s.bp_prune_calls, s.bp_candidates_killed);
-    out += buf;
-  }
-  if (s.soa_full_lane_elems + s.soa_tail_elems > 0) {
-    const std::size_t sweep_elems = s.soa_full_lane_elems + s.soa_tail_elems;
-    std::snprintf(buf, sizeof buf,
-                  "; soa block reuses %zu, flush elems %zu, lane util "
-                  "%zu/%zu, no-move prunes %zu",
-                  s.soa_block_reuses, s.soa_flush_elems,
-                  s.soa_full_lane_elems, sweep_elems, s.soa_prunes_no_move);
-    out += buf;
-  }
-  const double timed = s.wire_seconds + s.buffer_seconds + s.merge_seconds;
-  if (timed > 0.0) {
-    std::snprintf(buf, sizeof buf,
-                  "; phases wire %.1f ms, buffer %.1f ms, merge %.1f ms",
-                  s.wire_seconds * 1e3, s.buffer_seconds * 1e3,
-                  s.merge_seconds * 1e3);
-    out += buf;
+  std::string out;
+  for (const VgStatsField& f : kVgStatsFields) {
+    if (!out.empty()) out += ", ";
+    out += f.name;
+    out += ' ';
+    out += std::to_string(s.*f.member);
   }
   return out;
 }

@@ -4,19 +4,23 @@
 #pragma once
 
 #include <cstddef>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nbuf::util {
 
 // Counters describing one Van Ginneken-style DP run (Li & Shi's lens on DP
-// efficiency: how many candidates exist and how many pruning kills). The
-// counters are exact and schedule-independent; the per-phase wall times are
-// measured only when core::VgOptions::collect_stats is set (steady_clock
-// reads are not free on the hot path) and are, of course, not reproducible.
+// efficiency: how many candidates exist and how many pruning kills). Every
+// field is exact and schedule-independent — a pure function of the input
+// net and the options — so batch runs reproduce them at any thread count.
+// Phase wall time is not kept here; trace spans (`--trace`) own it.
 // Defined here, below core, so batch aggregation and CLI reporting need no
-// dependency on the optimizer itself.
+// dependency on the optimizer itself. Every field must have an entry in
+// kVgStatsFields below, which drives aggregation, comparison, printing and
+// metric export.
 struct VgStats {
   std::size_t candidates_generated = 0;  // every candidate materialized
   std::size_t pruned_inferior = 0;       // (load, slack)-dominated (Step 7)
@@ -45,81 +49,100 @@ struct VgStats {
   std::size_t bp_candidates_killed = 0;  // infeasible for every type
   std::size_t lib_types = 0;             // buffer-library size seen (max)
   // SoA-layout counters (fast kernel, PR 10). Candidate lists live in
-  // structure-of-arrays lane blocks (core/soa.hpp) whose hot loops run as
-  // vectorizable sweeps (core/soa_sweeps.hpp); these describe how that
-  // layout behaved. All are pure functions of the input net and the
-  // options — identical at any thread count and in both simd modes (the
-  // lane-utilization split counts what a vector unit of kSimdLanes would
-  // process in full vectors vs the scalar epilogue, whether or not the
-  // sweep actually ran vectorized).
-  std::size_t soa_block_reuses = 0;     // SoA lane blocks recycled (pool)
-  std::size_t soa_flush_elems = 0;      // candidates updated by wire
-                                        // flushes (width = /offset_flushes)
-  std::size_t soa_full_lane_elems = 0;  // sweep elements in full vectors
-  std::size_t soa_tail_elems = 0;       // sweep elements in scalar tails
-  std::size_t soa_prunes_no_move = 0;   // prunes that killed nothing and
-                                        // skipped compaction entirely
+  // structure-of-arrays lane blocks (core/soa.hpp); these describe how
+  // that layout behaved.
+  std::size_t soa_block_reuses = 0;    // SoA lane blocks recycled (pool)
+  std::size_t soa_flush_elems = 0;     // candidates updated by wire
+                                       // flushes (width = /offset_flushes)
+  std::size_t soa_prunes_no_move = 0;  // prunes that killed nothing and
+                                       // skipped compaction entirely
 
-  // Per-phase wall time (seconds); zero unless timing was requested.
-  double wire_seconds = 0.0;    // extend-candidates-through-wire phase
-  double buffer_seconds = 0.0;  // buffer-insertion phase
-  double merge_seconds = 0.0;   // two-child merge phase
-
-  // Aggregation: counters and times add, the peak takes the max.
-  VgStats& operator+=(const VgStats& o) {
-    candidates_generated += o.candidates_generated;
-    pruned_inferior += o.pruned_inferior;
-    pruned_infeasible += o.pruned_infeasible;
-    merged += o.merged;
-    peak_list_size = peak_list_size < o.peak_list_size ? o.peak_list_size
-                                                       : peak_list_size;
-    prune_calls += o.prune_calls;
-    prune_sorts += o.prune_sorts;
-    prune_sorts_skipped += o.prune_sorts_skipped;
-    offset_flushes += o.offset_flushes;
-    snapshot_cands_avoided += o.snapshot_cands_avoided;
-    pool_reuses += o.pool_reuses;
-    bp_prune_calls += o.bp_prune_calls;
-    bp_candidates_killed += o.bp_candidates_killed;
-    lib_types = lib_types < o.lib_types ? o.lib_types : lib_types;
-    soa_block_reuses += o.soa_block_reuses;
-    soa_flush_elems += o.soa_flush_elems;
-    soa_full_lane_elems += o.soa_full_lane_elems;
-    soa_tail_elems += o.soa_tail_elems;
-    soa_prunes_no_move += o.soa_prunes_no_move;
-    wire_seconds += o.wire_seconds;
-    buffer_seconds += o.buffer_seconds;
-    merge_seconds += o.merge_seconds;
-    return *this;
-  }
-
-  // Equality of the deterministic part only (wall times never reproduce).
-  // Covers the kernel-path counters too: they are pure functions of the
-  // input net and the options, so batch runs must reproduce them at any
-  // thread count.
-  [[nodiscard]] bool same_counters(const VgStats& o) const {
-    return candidates_generated == o.candidates_generated &&
-           pruned_inferior == o.pruned_inferior &&
-           pruned_infeasible == o.pruned_infeasible && merged == o.merged &&
-           peak_list_size == o.peak_list_size &&
-           prune_calls == o.prune_calls && prune_sorts == o.prune_sorts &&
-           prune_sorts_skipped == o.prune_sorts_skipped &&
-           offset_flushes == o.offset_flushes &&
-           snapshot_cands_avoided == o.snapshot_cands_avoided &&
-           pool_reuses == o.pool_reuses &&
-           bp_prune_calls == o.bp_prune_calls &&
-           bp_candidates_killed == o.bp_candidates_killed &&
-           lib_types == o.lib_types &&
-           soa_block_reuses == o.soa_block_reuses &&
-           soa_flush_elems == o.soa_flush_elems &&
-           soa_full_lane_elems == o.soa_full_lane_elems &&
-           soa_tail_elems == o.soa_tail_elems &&
-           soa_prunes_no_move == o.soa_prunes_no_move;
-  }
+  // Aggregation over runs: each field adds or takes the max, per its
+  // kVgStatsFields entry.
+  VgStats& operator+=(const VgStats& o);
+  // Equality of every field.
+  [[nodiscard]] bool same_counters(const VgStats& o) const;
 };
 
-// One-line human-readable rendering of the counters (times appended only
-// when any phase was timed).
+// One VgStats field: how it aggregates across runs and which
+// nbuf-metrics-v1 instrument obs::record_vg_stats exports it as.
+struct VgStatsField {
+  enum class Agg { Sum, Max };
+  enum class Metric { Counter, Histogram, Gauge };
+  std::string_view name;  // the struct field's name, also format()'s label
+  std::size_t VgStats::*member;
+  Agg agg;
+  Metric metric;
+  std::string_view metric_name;
+};
+
+inline constexpr VgStatsField kVgStatsFields[] = {
+    {"candidates_generated", &VgStats::candidates_generated,
+     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
+     "vg.candidates_generated"},
+    {"pruned_inferior", &VgStats::pruned_inferior, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.pruned_inferior"},
+    {"pruned_infeasible", &VgStats::pruned_infeasible, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.pruned_infeasible"},
+    {"merged", &VgStats::merged, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.merged"},
+    {"peak_list_size", &VgStats::peak_list_size, VgStatsField::Agg::Max,
+     VgStatsField::Metric::Histogram, "vg.peak_list_size"},
+    {"prune_calls", &VgStats::prune_calls, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.prune_calls"},
+    {"prune_sorts", &VgStats::prune_sorts, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.prune_sorts"},
+    {"prune_sorts_skipped", &VgStats::prune_sorts_skipped,
+     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
+     "vg.prune_sorts_skipped"},
+    {"offset_flushes", &VgStats::offset_flushes, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.offset_flushes"},
+    {"snapshot_cands_avoided", &VgStats::snapshot_cands_avoided,
+     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
+     "vg.snapshot_cands_avoided"},
+    {"pool_reuses", &VgStats::pool_reuses, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.pool_reuses"},
+    {"bp_prune_calls", &VgStats::bp_prune_calls, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.bp_prune_calls"},
+    {"bp_candidates_killed", &VgStats::bp_candidates_killed,
+     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
+     "vg.bp_candidates_killed"},
+    {"lib_types", &VgStats::lib_types, VgStatsField::Agg::Max,
+     VgStatsField::Metric::Gauge, "lib.types"},
+    {"soa_block_reuses", &VgStats::soa_block_reuses, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.soa_block_reuses"},
+    {"soa_flush_elems", &VgStats::soa_flush_elems, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.soa_flush_elems"},
+    {"soa_prunes_no_move", &VgStats::soa_prunes_no_move,
+     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
+     "vg.soa_prunes_no_move"},
+};
+
+// A field added to VgStats without a table entry fails the build here.
+static_assert(sizeof(VgStats) ==
+                  std::size(kVgStatsFields) * sizeof(std::size_t),
+              "every VgStats field needs a kVgStatsFields entry");
+
+inline VgStats& VgStats::operator+=(const VgStats& o) {
+  for (const VgStatsField& f : kVgStatsFields) {
+    std::size_t& mine = this->*f.member;
+    const std::size_t theirs = o.*f.member;
+    if (f.agg == VgStatsField::Agg::Sum) {
+      mine += theirs;
+    } else if (theirs > mine) {
+      mine = theirs;
+    }
+  }
+  return *this;
+}
+
+inline bool VgStats::same_counters(const VgStats& o) const {
+  for (const VgStatsField& f : kVgStatsFields)
+    if (this->*f.member != o.*f.member) return false;
+  return true;
+}
+
+// One-line rendering of every field in table order: "name value, ...".
 [[nodiscard]] std::string format(const VgStats& s);
 
 struct Summary {

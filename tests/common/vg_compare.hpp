@@ -5,13 +5,15 @@
 // Every deterministic field must agree EXACTLY — slack bits, buffer
 // placements, wire widths, the whole per_count table, and the legacy DP
 // counters (both kernels make the same pruning decisions on the same
-// candidates). Only wall times may differ.
+// candidates). serialize() renders the same fields as one byte string for
+// byte-identity checks.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +74,53 @@ inline void expect_identical(const core::VgResult& fast,
   EXPECT_EQ(fast.stats.pruned_infeasible, ref.stats.pruned_infeasible);
   EXPECT_EQ(fast.stats.merged, ref.stats.merged);
   EXPECT_EQ(fast.stats.peak_list_size, ref.stats.peak_list_size);
+}
+
+// Byte serialization of a VgResult: every deterministic field except the
+// stats, doubles by bit pattern (memcpy, not operator==, so a -0.0 vs +0.0
+// or NaN-payload difference cannot hide).
+inline std::string serialize(const core::VgResult& r) {
+  std::string s;
+  const auto put_u64 = [&s](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto put_bits = [&put_u64](double d) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &d, sizeof b);
+    put_u64(b);
+  };
+  s.push_back(r.feasible ? 1 : 0);
+  s.push_back(r.timing_met ? 1 : 0);
+  put_bits(r.slack);
+  put_u64(r.buffer_count);
+  for (const auto& [node, type] : sorted_entries(r.buffers)) {
+    put_u64(node);
+    put_u64(type);
+  }
+  put_u64(r.wire_widths.size());
+  for (const auto& w : r.wire_widths) {
+    put_u64(w.node.value());
+    put_u64(w.width);
+  }
+  put_u64(r.per_count.size());
+  for (const auto& cb : r.per_count) {
+    put_u64(cb.count);
+    put_bits(cb.slack);
+    put_bits(cb.noise_slack);
+    s.push_back(cb.noise_ok ? 1 : 0);
+    put_u64(cb.plan.size());
+    for (const auto& p : cb.plan) {
+      put_u64(p.node.value());
+      put_bits(p.dist_above);
+      put_u64(p.type.value());
+    }
+    put_u64(cb.wires.size());
+    for (const auto& w : cb.wires) {
+      put_u64(w.node.value());
+      put_u64(w.width);
+    }
+  }
+  return s;
 }
 
 }  // namespace nbuf::test

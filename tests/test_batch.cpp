@@ -130,25 +130,6 @@ TEST(Batch, SummaryCountsAreConsistent) {
   EXPECT_GT(s.nets_per_second(), 0.0);
 }
 
-TEST(Batch, OptInPhaseTimersOnlyWhenRequested) {
-  const auto nets = testbench(3, 5);
-  batch::BatchOptions off;
-  const auto plain = batch::BatchEngine(off).run(nets, kLib);
-  EXPECT_EQ(plain.summary.stats.wire_seconds, 0.0);
-  EXPECT_EQ(plain.summary.stats.buffer_seconds, 0.0);
-  EXPECT_EQ(plain.summary.stats.merge_seconds, 0.0);
-
-  batch::BatchOptions on;
-  on.collect_stats = true;
-  const auto timed = batch::BatchEngine(on).run(nets, kLib);
-  // Same counters either way; only the clocks are opt-in.
-  EXPECT_TRUE(plain.summary.stats.same_counters(timed.summary.stats));
-  EXPECT_GT(timed.summary.stats.wire_seconds +
-                timed.summary.stats.buffer_seconds +
-                timed.summary.stats.merge_seconds,
-            0.0);
-}
-
 TEST(Batch, WorkerExceptionPropagates) {
   auto nets = testbench(6, 13);
   batch::BatchOptions opt;

@@ -116,8 +116,8 @@ TEST(Integration, BuffOptRuntimeComparableToDelayOpt) {
     const auto d = core::run_delayopt(net.tree, kLib, 4);
     t_buff += b.optimize_seconds;
     t_delay += d.optimize_seconds;
-    c_buff += b.vg.candidates_created;
-    c_delay += d.vg.candidates_created;
+    c_buff += b.vg.stats.candidates_generated;
+    c_delay += d.vg.stats.candidates_generated;
   }
   EXPECT_LE(c_buff, c_delay);  // the paper's mechanism, exactly
   // The wall-clock consequence (BuffOpt CPU <= DelayOpt CPU at matched

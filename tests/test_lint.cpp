@@ -251,6 +251,31 @@ TEST(LintRules, UnorderedIterSeesSiblingHeaderMembers) {
   expect_findings(lint_file(in), {{4, "unordered-iter"}});
 }
 
+// The members of any src/ header a file includes count, not just the
+// sibling header's: the fixture iterates StageCircuit::sim_node_of, declared
+// in cross_header/sim/stage_circuit.hpp (standing in for src/), from a file
+// in another directory. The include that resolves nowhere is skipped.
+std::vector<Finding> lint_with_includes(const std::string& name) {
+  const std::string dir = NBUF_LINT_FIXTURE_DIR;
+  FileInput in;
+  in.rel_path = "src/signoff/fixture.cpp";
+  in.content = read_fixture(name);
+  in.header_content = nbuf::lint::read_included_headers(
+      dir + "/cross_header", dir + "/" + name, in.content);
+  return lint_file(in);
+}
+TEST(LintRules, UnorderedIterSeesMembersOfAnyIncludedSrcHeader) {
+  expect_findings(lint_with_includes("unordered_cross_header_bad.cpp"),
+                  {{7, "unordered-iter"}});
+  // Without the included header's text the member is invisible.
+  expect_findings(
+      lint_fixture("unordered_cross_header_bad.cpp", "src/signoff/fixture.cpp"),
+      {});
+}
+TEST(LintRules, UnorderedIterCrossHeaderCleanOrderedWalk) {
+  expect_findings(lint_with_includes("unordered_cross_header_clean.cpp"), {});
+}
+
 TEST(LintRules, RawLockSeeded) {
   expect_findings(
       lint_fixture("raw_lock_bad.cpp", "src/serve/fixture.cpp"),
@@ -280,28 +305,6 @@ TEST(LintRules, WallclockSuppressedAndMemberCallsIgnored) {
 TEST(LintRules, WallclockOnlyGatesTheNumericCore) {
   expect_findings(lint_fixture("wallclock_bad.cpp", "src/obs/fixture.cpp"),
                   {});
-}
-
-TEST(LintRules, UncheckedSimdSeeded) {
-  // Both spellings: the #pragma directive (with and without clauses) and
-  // the _Pragma operator form a wrapper macro expands to.
-  expect_findings(lint_fixture("unchecked_simd_bad.cpp", "src/obs/fixture.cpp"),
-                  {{3, "unchecked-simd"},
-                   {7, "unchecked-simd"},
-                   {11, "unchecked-simd"}});
-}
-TEST(LintRules, UncheckedSimdCleanCommentsStringsAndSuppression) {
-  expect_findings(
-      lint_fixture("unchecked_simd_clean.cpp", "src/obs/fixture.cpp"), {});
-}
-TEST(LintRules, UncheckedSimdExemptsTheSweepHome) {
-  // src/core/soa_sweeps.hpp is where the audited sweeps live; the same
-  // pragmas are fine there (and outside src/ entirely).
-  expect_findings(
-      lint_fixture("unchecked_simd_bad.cpp", "src/core/soa_sweeps.hpp"),
-      {{1, "pragma-once"}});  // .cpp fixture at a .hpp path; header rule only
-  expect_findings(
-      lint_fixture("unchecked_simd_bad.cpp", "bench/fixture.cpp"), {});
 }
 
 TEST(LintRules, MutableGlobalSeeded) {

@@ -140,7 +140,7 @@ TEST(Cli, BatchNetgenReportsThroughputAndStats) {
   EXPECT_GT(number_after(r.out, "throughput: "), 0.0);
   EXPECT_NE(r.out.find("noise after:"), std::string::npos);
   EXPECT_NE(r.out.find("timing after:"), std::string::npos);
-  EXPECT_NE(r.out.find("vgstats: generated "), std::string::npos);
+  EXPECT_NE(r.out.find("vgstats: candidates_generated "), std::string::npos);
 }
 
 TEST(Cli, BatchDelayOptMode) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -163,6 +168,89 @@ TEST(Stats, PercentileEndpointsAndMedian) {
 
 TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(util::percentile({0.0, 10.0}, 0.25), 2.5);
+}
+
+// kVgStatsFields drives VgStats aggregation, comparison, printing and
+// metric export. Each entry must lead to the field it names, aggregate as
+// that counter means (peaks take the max, tallies add) and export under
+// the field's established metric name, on its own.
+TEST(Stats, VgStatsFieldTableCoversEveryField) {
+  using Field = util::VgStatsField;
+  // Each field by name, set to its 1-based declaration position.
+  const util::VgStats distinct{
+      .candidates_generated = 1, .pruned_inferior = 2,
+      .pruned_infeasible = 3, .merged = 4, .peak_list_size = 5,
+      .prune_calls = 6, .prune_sorts = 7, .prune_sorts_skipped = 8,
+      .offset_flushes = 9, .snapshot_cands_avoided = 10, .pool_reuses = 11,
+      .bp_prune_calls = 12, .bp_candidates_killed = 13, .lib_types = 14,
+      .soa_block_reuses = 15, .soa_flush_elems = 16,
+      .soa_prunes_no_move = 17};
+  const std::vector<std::string> declared = {
+      "candidates_generated", "pruned_inferior", "pruned_infeasible",
+      "merged", "peak_list_size", "prune_calls", "prune_sorts",
+      "prune_sorts_skipped", "offset_flushes", "snapshot_cands_avoided",
+      "pool_reuses", "bp_prune_calls", "bp_candidates_killed", "lib_types",
+      "soa_block_reuses", "soa_flush_elems", "soa_prunes_no_move"};
+  ASSERT_EQ(std::size(util::kVgStatsFields), declared.size());
+
+  for (const Field& f : util::kVgStatsFields) {
+    const std::string name(f.name);
+    SCOPED_TRACE(name);
+    const auto pos = std::find(declared.begin(), declared.end(), name);
+    ASSERT_NE(pos, declared.end());
+    EXPECT_EQ(distinct.*f.member,
+              static_cast<std::size_t>(pos - declared.begin()) + 1);
+
+    const bool peak = name == "peak_list_size" || name == "lib_types";
+    const std::string metric = name == "lib_types" ? "lib.types" : "vg." + name;
+
+    util::VgStats a, b;
+    a.*f.member = 7;
+    b.*f.member = 5;
+    util::VgStats sum = a;
+    sum += b;
+    EXPECT_EQ(sum.*f.member, peak ? 7u : 12u);
+    util::VgStats only = sum;
+    only.*f.member = 0;
+    EXPECT_TRUE(only.same_counters(util::VgStats{}));  // touched no other
+
+    EXPECT_FALSE(a.same_counters(util::VgStats{}));
+    EXPECT_TRUE(a.same_counters(a));
+
+    bool printed = false;
+    std::istringstream parts(util::format(a));
+    for (std::string part; std::getline(parts, part, ',');) {
+      if (part.front() == ' ') part.erase(0, 1);
+      if (part == name + " 7") printed = true;
+    }
+    EXPECT_TRUE(printed) << util::format(a);
+
+    // Exactly one instrument carries the value: the peak list size as a
+    // histogram, the library size as a gauge, everything else a counter.
+    obs::MetricsRegistry reg;
+    obs::record_vg_stats(reg, a);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    std::vector<std::string> exported;
+    for (const auto& c : snap.counters) {
+      if (c.value == 0) continue;
+      exported.push_back("counter " + c.name);
+      EXPECT_EQ(c.value, 7u);
+    }
+    for (const auto& h : snap.histograms) {
+      if (h.sum == 0) continue;
+      exported.push_back("histogram " + h.name);
+      EXPECT_EQ(h.max, 7u);
+    }
+    for (const auto& g : snap.gauges) {
+      if (g.value == 0.0) continue;
+      exported.push_back("gauge " + g.name);
+      EXPECT_EQ(g.value, 7.0);
+    }
+    const std::string kind = name == "peak_list_size" ? "histogram"
+                             : name == "lib_types"    ? "gauge"
+                                                      : "counter";
+    EXPECT_EQ(exported, std::vector<std::string>{kind + " " + metric});
+  }
 }
 
 TEST(Stats, Histogram) {

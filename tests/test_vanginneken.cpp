@@ -200,8 +200,8 @@ TEST(VanGinneken, NoisePruningShrinksSearch) {
   noise_opt.noise_constraints = true;
   const auto rd = core::optimize(t, kLib, delay);
   const auto rn = core::optimize(t, kLib, noise_opt);
-  EXPECT_GT(rn.candidates_noise_pruned, 0u);
-  EXPECT_LE(rn.candidates_created, rd.candidates_created);
+  EXPECT_GT(rn.stats.pruned_infeasible, 0u);
+  EXPECT_LE(rn.stats.candidates_generated, rd.stats.candidates_generated);
 }
 
 // --- buffer-count extension (Lillis / Problem 3) -----------------------------------

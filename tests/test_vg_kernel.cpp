@@ -8,6 +8,8 @@
 //    constraints, wire sizing, buffer costs, and slew limits. The default
 //    library mixes inverting and non-inverting types, so polarity buckets
 //    are always exercised.
+//  * Routing: the unpruned ablation (prune_candidates = false) runs the
+//    reference kernel even when the fast one is selected.
 //  * Property: with VgOptions::check_invariants the fast kernel re-verifies
 //    after every DP step that each candidate list is sorted by (load asc,
 //    slack desc), forms a strict Pareto staircase, and carries no dead
@@ -169,6 +171,30 @@ TEST(VgKernel, FastKernelCountersReportSortFreeOperation) {
   EXPECT_GT(merged.stats.merged, 0u);
   EXPECT_GT(merged.stats.pool_reuses, 0u);
   EXPECT_EQ(merged.stats.prune_sorts, 0u);
+}
+
+TEST(VgKernel, UnprunedAblationRunsTheReferenceKernel) {
+  // prune_candidates = false is served by the reference kernel whatever
+  // VgOptions::kernel says, so the two selections agree byte for byte,
+  // counters included (the reference kernel's counter profile: every
+  // prune sorts).
+  // Every variant but wire sizing, whose per-wire forks grow unpruned
+  // lists exponentially.
+  util::Rng rng(4417);
+  for (const std::size_t which : {0, 1, 2, 4, 5}) {
+    SCOPED_TRACE("variant " + std::to_string(which));
+    rct::RoutingTree segmented = test::long_two_pin(
+        rng.uniform(3000.0, 12000.0), rng.uniform(60.0, 380.0));
+    seg::segment(segmented, {500.0});
+    core::VgOptions opt = variant(which);
+    opt.prune_candidates = false;
+    opt.max_buffers = 8;
+    const auto fast = run_kernel(segmented, opt, core::VgKernel::Fast);
+    const auto ref = run_kernel(segmented, opt, core::VgKernel::Reference);
+    EXPECT_EQ(test::serialize(fast), test::serialize(ref));
+    EXPECT_TRUE(fast.stats.same_counters(ref.stats));
+    EXPECT_EQ(fast.stats.prune_sorts, fast.stats.prune_calls);
+  }
 }
 
 TEST(VgKernel, CorruptedCandidateListIsCaughtByPromotedChecks) {

@@ -30,8 +30,9 @@
 //   --mode M          buffopt (default) | delayopt
 //   --max-buffers K   as above
 //   --segment UM      as above
-//   --stats           also print the aggregated VgStats counter block with
-//                     per-phase DP wall times
+//   --stats           also print the aggregated VgStats counters as one
+//                     "vgstats: name value, ..." line (phase wall times
+//                     come from --trace)
 //   --library FILE    insertion library (.lib, docs/library.md)
 //   --lib-size B      generate a synthetic B-type strength ladder instead
 //                     (library-size sweeps; excludes --library)
@@ -369,7 +370,6 @@ batch::BatchOptions engine_options(const BatchArgs& args) {
   opt.tool.vg.kernel = args.kernel == "reference"
                            ? core::VgKernel::Reference
                            : core::VgKernel::Fast;
-  opt.collect_stats = args.stats;
   return opt;
 }
 

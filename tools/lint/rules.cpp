@@ -1,8 +1,10 @@
 #include "lint/rules.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "lint/lexer.hpp"
 
@@ -24,7 +26,6 @@ struct FileView {
   bool in_src = false;
   bool numeric_src = false;    // src/noise|elmore|core|sim (no-float)
   bool wallclock_src = false;  // src/core|noise|elmore (wallclock-in-core)
-  bool simd_home = false;      // src/core/soa_sweeps.hpp (unchecked-simd)
   bool sort_whitelisted = false;
   bool annotation_header = false;
   bool is_header = false;
@@ -71,7 +72,6 @@ FileView make_view(const FileInput& in, std::vector<Finding>& findings) {
   v.wallclock_src = starts_with(rel, "src/core/") ||
                     starts_with(rel, "src/noise/") ||
                     starts_with(rel, "src/elmore/");
-  v.simd_home = rel == "src/core/soa_sweeps.hpp";
   v.sort_whitelisted = rel == "src/core/vanginneken.cpp";
   v.annotation_header = rel == "src/util/thread_annotations.hpp";
   v.is_header = rel.size() > 4 && rel.substr(rel.size() - 4) == ".hpp";
@@ -183,8 +183,8 @@ void rule_unordered_iter(FileView& v) {
   if (!v.in_src) return;
   std::set<std::string_view, std::less<>> unordered;
   collect_unordered_names(v.code, unordered);
-  // The sibling header's members are iterable from the .cpp. Its token
-  // views borrow header_tokens, so keep that alive for the whole scan.
+  // Members declared in included headers are iterable from this file. The
+  // token views borrow header_tokens, so keep that alive for the scan.
   const std::vector<Token> header_tokens = lex(v.in->header_content);
   collect_unordered_names(header_tokens, unordered);
   if (unordered.empty()) return;
@@ -264,39 +264,6 @@ void rule_wallclock_in_core(FileView& v) {
       v.flag(c[i].line, "wallclock-in-core",
              "clock read in the numeric core; results must not depend "
              "on time");
-    }
-  }
-}
-
-// Vectorization pragmas outside their audited home. `omp simd` asserts
-// iteration independence the compiler cannot check; a wrong assertion
-// silently reorders floating-point work and breaks the fast kernel's
-// bit-identity contract. All such sweeps live in src/core/soa_sweeps.hpp,
-// where every body is elementwise by construction and the scalar-vs-SIMD
-// self-differential of tests/test_soa_kernel locks the contract down —
-// anywhere else under src/ the pragma is an unchecked claim.
-void rule_unchecked_simd(FileView& v) {
-  if (!v.in_src || v.simd_home) return;
-  const std::vector<Token>& c = v.code;
-  constexpr std::string_view kMsg =
-      "omp simd pragma outside src/core/soa_sweeps.hpp; vectorized sweeps "
-      "belong there, where the elementwise contract is enforced by the "
-      "test_soa_kernel scalar-vs-SIMD self-differential";
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    // Directive form: #pragma omp simd (with or without clauses after).
-    if (c[i].in_directive && is(&c[i], "#") &&
-        is_ident(at(c, i + 1), "pragma") && is_ident(at(c, i + 2), "omp") &&
-        is_ident(at(c, i + 3), "simd")) {
-      v.flag(c[i].line, "unchecked-simd", std::string(kMsg));
-      continue;
-    }
-    // Operator form: _Pragma("omp simd") — what a wrapper macro like
-    // NBUF_SIMD_PRAGMA expands to.
-    if (is_ident(&c[i], "_Pragma") && is(at(c, i + 1), "(")) {
-      const Token* s = at(c, i + 2);
-      if (s != nullptr && s->kind == Tok::String &&
-          s->text.find("omp simd") != std::string_view::npos)
-        v.flag(c[i].line, "unchecked-simd", std::string(kMsg));
     }
   }
 }
@@ -397,6 +364,39 @@ void rule_mutable_global(FileView& v) {
 
 }  // namespace
 
+std::string read_included_headers(const std::filesystem::path& src_root,
+                                  const std::filesystem::path& file,
+                                  std::string_view content) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path root = fs::weakly_canonical(src_root, ec);
+  const auto under_root = [&root](const fs::path& p) {
+    const fs::path rel = p.lexically_relative(root);
+    return !rel.empty() && *rel.begin() != "..";
+  };
+  std::string out;
+  const std::vector<Token> ts = lex(content);
+  for (std::size_t i = 0; i + 2 < ts.size(); ++i) {
+    if (!ts[i].in_directive || !is(&ts[i], "#") ||
+        !is_ident(&ts[i + 1], "include") || ts[i + 2].kind != Tok::String)
+      continue;
+    const std::string_view quoted = ts[i + 2].text;
+    if (quoted.size() < 2 || quoted.front() != '"') continue;
+    const fs::path target(std::string(quoted.substr(1, quoted.size() - 2)));
+    for (const fs::path& base : {file.parent_path(), src_root}) {
+      const fs::path p = fs::weakly_canonical(base / target, ec);
+      if (ec || !fs::is_regular_file(p) || !under_root(p)) continue;
+      std::ifstream in(p, std::ios::binary);
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      out += ss.str();
+      out += '\n';
+      break;
+    }
+  }
+  return out;
+}
+
 std::vector<Finding> lint_file(const FileInput& in) {
   std::vector<Finding> findings;
   FileView v = make_view(in, findings);
@@ -408,7 +408,6 @@ std::vector<Finding> lint_file(const FileInput& in) {
   rule_unordered_iter(v);
   rule_raw_lock(v);
   rule_wallclock_in_core(v);
-  rule_unchecked_simd(v);
   rule_mutable_global(v);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

@@ -13,7 +13,8 @@
 //   determinism / concurrency (this layer):
 //     unordered-iter    range-for or .begin() iteration over a variable
 //                       declared std::unordered_map/std::unordered_set in
-//                       src/ — iteration order is unspecified
+//                       src/ (in the file or any src/ header it includes)
+//                       — iteration order is unspecified
 //     raw-lock          .lock()/.unlock()/.try_lock() member calls outside
 //                       src/util/thread_annotations.hpp — locking goes
 //                       through util::MutexLock so Clang's thread-safety
@@ -30,6 +31,7 @@
 
 #include <array>
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,14 +46,24 @@ struct Finding {
 };
 
 // One file to lint. `rel_path` (repo-relative, '/' separators) selects
-// which rules apply; `header_content` optionally carries the sibling
-// header's text (for foo.cpp, foo.hpp) so unordered-iter can see member
-// declarations the .cpp iterates over. Empty when there is none.
+// which rules apply; `header_content` optionally carries the text of the
+// src/ headers the file includes (read_included_headers) so unordered-iter
+// can see member declarations the file iterates over. Empty when there
+// are none.
 struct FileInput {
   std::string rel_path;
   std::string content;
   std::string header_content;
 };
+
+// The concatenated text of every quoted `#include "…"` of `content` (the
+// file at `file`) that resolves to a file under `src_root` — looked up
+// next to `file` first, then relative to `src_root`, as the compiler's
+// quoted-include search does with src/ on the include path. Includes that
+// resolve nowhere under `src_root` (system, tools/, missing) are skipped.
+[[nodiscard]] std::string read_included_headers(
+    const std::filesystem::path& src_root, const std::filesystem::path& file,
+    std::string_view content);
 
 inline constexpr std::array<std::string_view, 9> kRuleNames = {
     "sort",           "naked-new", "iostream",

@@ -69,14 +69,10 @@ int main(int argc, char** argv) {
         findings.push_back({in.rel_path, 0, "io", "cannot open file"});
         continue;
       }
-      if (ext == ".cpp") {
-        // The sibling header's declarations are visible to this
-        // translation unit; unordered-iter tracks its members too.
-        fs::path header = e.path();
-        header.replace_extension(".hpp");
-        if (fs::is_regular_file(header))
-          (void)read_file(header, in.header_content);
-      }
+      // Declarations of every src/ header this file includes are visible
+      // to it; unordered-iter tracks their members too.
+      in.header_content =
+          nbuf::lint::read_included_headers(root / "src", e.path(), in.content);
       std::vector<nbuf::lint::Finding> f = nbuf::lint::lint_file(in);
       findings.insert(findings.end(), f.begin(), f.end());
     }
