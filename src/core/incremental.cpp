@@ -142,15 +142,14 @@ IncrementalContext::IncrementalContext(rct::RoutingTree tree,
                                        const lib::BufferLibrary& lib,
                                        VgOptions opt)
     : tree_(std::move(tree)), lib_(lib), opt_(std::move(opt)) {
-  NBUF_EXPECTS_MSG(tree_.is_binary(), "call tree.binarize() first");
-  NBUF_EXPECTS_MSG(!lib_.empty(), "empty buffer library");
-  NBUF_EXPECTS(opt_.max_buffers >= 1);
-  cache_.ensure_size(tree_.node_count());
+  detail::expect_valid_inputs(tree_, lib_, opt_);
+  NBUF_EXPECTS_MSG(opt_.prune_candidates,
+                   "the fast kernel assumes dominance pruning");
 }
 
 void IncrementalContext::dirty_up(rct::NodeId v) {
   for (rct::NodeId c = v; c.valid(); c = tree_.node(c).parent)
-    cache_.invalidate(c);
+    memo_.invalidate(c);
 }
 
 void IncrementalContext::scale_wire(rct::NodeId v, double res_factor,
@@ -180,7 +179,6 @@ void IncrementalContext::set_sink(rct::SinkId s, rct::SinkInfo info) {
 rct::NodeId IncrementalContext::split_wire(rct::NodeId v, double dist_above) {
   NBUF_EXPECTS_MSG(v != tree_.source(), "the source has no parent wire");
   const rct::NodeId n = tree_.split_wire(v, dist_above);
-  cache_.ensure_size(tree_.node_count());
   // v's subtree is intact (its shortened parent wire belongs to n's DP
   // step); everything from the new node upward changed shape.
   dirty_up(n);
@@ -192,7 +190,7 @@ void IncrementalContext::tighten_margins(double delta) {
   p.kind = Perturbation::Kind::TightenMargins;
   p.delta = delta;
   apply_perturbation(tree_, p);
-  cache_.invalidate_all();
+  memo_.invalidate_all();
 }
 
 void IncrementalContext::scale_coupling(double factor) {
@@ -200,7 +198,7 @@ void IncrementalContext::scale_coupling(double factor) {
   p.kind = Perturbation::Kind::ScaleCoupling;
   p.factor = factor;
   apply_perturbation(tree_, p);
-  cache_.invalidate_all();
+  memo_.invalidate_all();
 }
 
 rct::NodeId IncrementalContext::apply(const Perturbation& p) {
@@ -225,16 +223,15 @@ rct::NodeId IncrementalContext::apply(const Perturbation& p) {
   return rct::NodeId{};
 }
 
-void IncrementalContext::invalidate_all() { cache_.invalidate_all(); }
+void IncrementalContext::invalidate_all() { memo_.invalidate_all(); }
 
 const VgResult& IncrementalContext::optimize() {
   NBUF_TRACE_SPAN_TAGGED("incremental.optimize", tree_.node_count());
-  detail::ReferenceDp dp(tree_, lib_, opt_, arena_, &cache_);
-  result_ = dp.run();
+  result_ = detail::run_fast_kernel(tree_, lib_, opt_, arena_, &memo_);
   have_result_ = true;
   ++stats_.runs;
-  stats_.last_reused = cache_.reused;
-  stats_.last_recomputed = cache_.recomputed;
+  stats_.last_reused = memo_.reused;
+  stats_.last_recomputed = memo_.recomputed;
   stats_.plan_cells = arena_.cell_count();
   return result_;
 }

@@ -2,26 +2,24 @@
 // keeps per net so a perturbed tree re-answers in far less than a cold run.
 //
 // The Van Ginneken DP is bottom-up: the candidate lists of a node are a
-// pure function of its subtree (tests/test_vg_kernel proves both kernels
-// agree on them bit-for-bit). So after one full run we can memoize every
-// node's post-insertion NodeLists (detail::SubtreeCache) and, when a
-// perturbation touches node v, invalidate only v's root spine: the next
-// run recomputes the dirty spine and serves every clean sibling subtree
-// from the cache. The answer is bit-identical to a cold run on the
-// perturbed tree by construction — cached lists hold exactly the values a
-// cold run would rebuild, and candidate-order ties resolve by plan CONTENT
-// (detail::cand_less), never by arena pointer.
+// pure function of its subtree. So after one full run we can memoize every
+// node's post-insertion candidate lists and, when a perturbation touches
+// node v, invalidate only v's root spine: the next run recomputes the dirty
+// spine and serves every clean sibling subtree from the memo. The answer is
+// bit-identical to a cold run on the perturbed tree by construction —
+// cached lists hold exactly the values a cold run would rebuild, and
+// candidate-order ties resolve by plan CONTENT (detail::cand_less), never
+// by arena pointer. Every run is the fast kernel, the default engine of a
+// cold core::optimize; its memo is detail::SubtreeMemo (core/vg_kernel.hpp),
+// one packed block of candidate lanes plus bucket offsets per node.
 //
-// This is the first-class home of the machinery that used to live inside
-// tests/test_incremental's 120-case differential harness; the harness now
-// drives this API (and src/serve's PERTURB opcode is a thin wrapper over
-// it). Perturbation is the shared edit vocabulary: the harness generates
-// random edits with random_perturbation(), applies them through
-// IncrementalContext::apply(), and cross-checks against a cold
-// core::optimize on the same tree.
+// Perturbation is the shared edit vocabulary: src/serve's PERTURB opcode
+// wraps this API, and tests/test_incremental's differential harness draws
+// edits with random_perturbation(), applies them through
+// IncrementalContext::apply() and cross-checks a cold core::optimize.
 //
 // Memory: the context owns one PlanArena for its whole lifetime (cached
-// candidates point into it), so arena cells accumulate across
+// candidates hold refs into it), so arena cells accumulate across
 // re-optimizations; Stats::plan_cells tracks the growth.
 #pragma once
 
@@ -78,8 +76,8 @@ class IncrementalContext {
  public:
   // `tree` must be binary with buffer sites already created (callers run
   // tree.binarize() + seg::segment first — the service does this once per
-  // LOAD, which is the point). The DP always runs the reference engine
-  // (the only memoizable one); `opt.kernel` is ignored.
+  // LOAD, which is the point). The DP always runs the fast kernel, so
+  // `opt.kernel` is ignored and `opt.prune_candidates` must be true.
   IncrementalContext(rct::RoutingTree tree, const lib::BufferLibrary& lib,
                      VgOptions opt);
 
@@ -130,7 +128,7 @@ class IncrementalContext {
   lib::BufferLibrary lib_;  // copy: the context outlives caller reloads
   VgOptions opt_;
   PlanArena arena_;
-  detail::SubtreeCache cache_;
+  detail::SubtreeMemo memo_;
   VgResult result_;
   bool have_result_ = false;
   Stats stats_;

@@ -93,20 +93,6 @@ std::vector<PlannedWire> collect_wires(const PlanCell* plan) {
   return out;
 }
 
-std::size_t plan_size(const PlanCell* plan) {
-  std::size_t n = 0;
-  std::vector<const PlanCell*> stack;
-  if (plan != nullptr) stack.push_back(plan);
-  while (!stack.empty()) {
-    const PlanCell* c = stack.back();
-    stack.pop_back();
-    if (c->kind == PlanCell::Kind::Buffer) ++n;
-    if (c->a != nullptr) stack.push_back(c->a);
-    if (c->b != nullptr) stack.push_back(c->b);
-  }
-  return n;
-}
-
 void apply_plan(rct::RoutingTree& tree,
                 const std::vector<PlannedBuffer>& plan,
                 rct::BufferAssignment& out, bool allow_any_site) {

@@ -89,45 +89,11 @@ class PlanArena {
   std::deque<PlanCell> cells_;  // deque: stable addresses across growth
 };
 
-// Recycles vector buffers within one optimization run, the same ownership
-// shape as PlanArena: the DP creates and drops thousands of short-lived
-// candidate lists, and reusing their heap blocks removes the allocator from
-// the hot path. acquire() hands back a cleared vector with whatever
-// capacity its previous life grew; release() returns a buffer to the pool
-// (no-op for buffers that never allocated).
-template <class T>
-class VectorPool {
- public:
-  [[nodiscard]] std::vector<T> acquire() {
-    if (free_.empty()) return {};
-    std::vector<T> v = std::move(free_.back());
-    free_.pop_back();
-    v.clear();
-    ++reuses_;
-    return v;
-  }
-
-  void release(std::vector<T>&& v) {
-    if (v.capacity() == 0) return;
-    free_.push_back(std::move(v));
-  }
-
-  // Buffers handed out that carried reusable capacity.
-  [[nodiscard]] std::size_t reuses() const noexcept { return reuses_; }
-
- private:
-  std::vector<std::vector<T>> free_;
-  std::size_t reuses_ = 0;
-};
-
 // All placements reachable from `plan` (null = empty solution).
 [[nodiscard]] std::vector<PlannedBuffer> collect(const PlanCell* plan);
 
 // All wire-width choices reachable from `plan`.
 [[nodiscard]] std::vector<PlannedWire> collect_wires(const PlanCell* plan);
-
-// Number of placements reachable from `plan`.
-[[nodiscard]] std::size_t plan_size(const PlanCell* plan);
 
 // Materializes a plan onto `tree`: splits wires where dist_above > 0
 // (grouping multiple buffers per wire) and fills `out` with the final

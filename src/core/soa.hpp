@@ -11,10 +11,9 @@
 //
 // with every lane start rounded up to the 64-byte alignment, so the sweeps
 // of core/soa_sweeps.hpp are unit-stride, branch-light, and vectorizable.
-// Blocks are recycled whole through SoAPool — the SoA replacement of the
-// per-candidate-list VectorPool — so steady-state DP makes no allocator
-// calls. CandSpan is the read view the best-predecessor structure and the
-// structural verifiers consume.
+// Blocks are recycled whole through SoAPool, so steady-state DP makes no
+// allocator calls. CandSpan is the read view the best-predecessor structure
+// and the structural verifiers consume.
 #pragma once
 
 #include <cstddef>
@@ -185,12 +184,12 @@ class SoAList {
   std::size_t capacity_ = 0;
 };
 
-// Recycles SoA blocks within one optimization run — the same ownership
-// shape and counter semantics as VectorPool (plan.hpp), but whole aligned
-// lane blocks instead of per-candidate vector buffers. acquire() hands back
-// a cleared list keeping whatever capacity its previous life grew;
-// release() returns a list to the pool (no-op for lists that never
-// allocated).
+// Recycles SoA blocks within one optimization run, the same ownership
+// shape as PlanArena: the DP creates and drops thousands of short-lived
+// candidate lists, and reusing their aligned lane blocks removes the
+// allocator from the hot path. acquire() hands back a cleared list keeping
+// whatever capacity its previous life grew; release() returns a list to
+// the pool (no-op for lists that never allocated).
 class SoAPool {
  public:
   [[nodiscard]] SoAList acquire() {

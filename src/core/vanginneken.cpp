@@ -13,12 +13,37 @@ namespace nbuf::core {
 
 namespace detail {
 
-// The reference (seed) kernel — see the ReferenceDp declaration in
-// vg_kernel.hpp: re-sorts every candidate list on every prune and snapshots
-// the full NodeLists at each buffer-insertion node. Kept as the
-// bit-identity oracle for the fast kernel (tests/test_vg_kernel), as the
-// A/B baseline of bench/figI_kernel_speedup, and — with a SubtreeCache —
-// as the engine of core::IncrementalContext.
+namespace {
+
+// The reference (seed) kernel, a one-shot oracle: re-sorts every candidate
+// list on every prune and snapshots the full NodeLists at each
+// buffer-insertion node. core::optimize runs it for VgKernel::Reference and
+// the unpruned ablation; it is the fast kernel's bit-identity oracle
+// (tests/test_vg_kernel) and the A/B baseline of bench/figI_kernel_speedup.
+class ReferenceDp {
+ public:
+  ReferenceDp(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
+              const VgOptions& opt, PlanArena& arena)
+      : tree_(tree), lib_(lib), opt_(opt), arena_(arena) {
+    stats_.lib_types = lib_.size();
+  }
+
+  VgResult run();
+
+ private:
+  NodeLists process(rct::NodeId v);
+  void prune(CandList& list);
+  void extend_wire(NodeLists& lists, rct::NodeId child);
+  void insert_buffers(NodeLists& lists, rct::NodeId v);
+  NodeLists merge(const NodeLists& l, const NodeLists& r);
+  void note_created(std::size_t n) { stats_.candidates_generated += n; }
+
+  const rct::RoutingTree& tree_;
+  const lib::BufferLibrary& lib_;
+  const VgOptions& opt_;
+  PlanArena& arena_;
+  util::VgStats stats_;
+};
 
 // Pareto pruning on (load, slack) only — paper Step 7; with noise enabled,
 // dead candidates (NS < 0: no future gate can drive them) are removed first.
@@ -215,19 +240,6 @@ NodeLists ReferenceDp::merge(const NodeLists& l, const NodeLists& r) {
 }
 
 NodeLists ReferenceDp::process(rct::NodeId v) {
-  if (cache_ == nullptr) return compute(v);
-  if (cache_->valid[v.value()]) {
-    ++cache_->reused;
-    return cache_->lists[v.value()];  // copy: callers mutate their lists
-  }
-  NodeLists lists = compute(v);
-  cache_->lists[v.value()] = lists;
-  cache_->valid[v.value()] = 1;
-  ++cache_->recomputed;
-  return lists;
-}
-
-NodeLists ReferenceDp::compute(rct::NodeId v) {
   const rct::Node& n = tree_.node(v);
   NodeLists lists;
   for (auto& pl : lists.by_phase) pl.resize(opt_.max_buffers + 1);
@@ -261,14 +273,11 @@ NodeLists ReferenceDp::compute(rct::NodeId v) {
 }
 
 VgResult ReferenceDp::run() {
-  if (cache_ != nullptr) {
-    cache_->ensure_size(tree_.node_count());
-    cache_->reused = 0;
-    cache_->recomputed = 0;
-  }
   const NodeLists at_source = process(tree_.source());
   return detail::finalize(at_source, tree_, opt_, stats_);
 }
+
+}  // namespace
 
 void verify_cand_list(const CandList& list, const VgOptions& opt) {
   NBUF_ASSERT_MSG(std::is_sorted(list.begin(), list.end(), cand_less),
@@ -306,6 +315,22 @@ void verify_cand_list(const CandSpan& view, const VgOptions& opt,
                       util::ctx("i", i, "slack[i-1]", view.slack[i - 1],
                                 "slack[i]", view.slack[i]));
     }
+  }
+}
+
+void expect_valid_inputs(const rct::RoutingTree& tree,
+                         const lib::BufferLibrary& lib,
+                         const VgOptions& options) {
+  NBUF_EXPECTS_MSG(tree.is_binary(), "call tree.binarize() first");
+  NBUF_EXPECTS_MSG(!lib.empty(), "empty buffer library");
+  // max_buffers + 1 buckets per phase: SIZE_MAX would wrap to none.
+  NBUF_EXPECTS(options.max_buffers >= 1 &&
+               options.max_buffers < std::numeric_limits<std::size_t>::max());
+  if (!options.buffer_costs.empty()) {
+    NBUF_REQUIRE_CTX(options.buffer_costs.size() == lib.size(),
+                     util::ctx("buffer_costs", options.buffer_costs.size(),
+                               "library types", lib.size()));
+    for (std::size_t c : options.buffer_costs) NBUF_EXPECTS(c >= 1);
   }
 }
 
@@ -386,21 +411,11 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
 VgResult optimize(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
                   const VgOptions& options) {
   NBUF_TRACE_SPAN_TAGGED("vg.optimize", tree.node_count());
-  NBUF_EXPECTS_MSG(tree.is_binary(), "call tree.binarize() first");
-  NBUF_EXPECTS_MSG(!lib.empty(), "empty buffer library");
-  NBUF_EXPECTS(options.max_buffers >= 1);
-  if (!options.buffer_costs.empty()) {
-    NBUF_REQUIRE_CTX(options.buffer_costs.size() == lib.size(),
-                     util::ctx("buffer_costs", options.buffer_costs.size(),
-                               "library types", lib.size()));
-    for (std::size_t c : options.buffer_costs) NBUF_EXPECTS(c >= 1);
-  }
-  if (options.kernel == VgKernel::Reference || !options.prune_candidates) {
-    PlanArena arena;
-    detail::ReferenceDp run(tree, lib, options, arena);
-    return run.run();
-  }
-  return detail::run_fast_kernel(tree, lib, options);
+  detail::expect_valid_inputs(tree, lib, options);
+  PlanArena arena;
+  if (options.kernel == VgKernel::Reference || !options.prune_candidates)
+    return detail::ReferenceDp(tree, lib, options, arena).run();
+  return detail::run_fast_kernel(tree, lib, options, arena);
 }
 
 rct::BufferAssignment assignment_for(const std::vector<PlannedBuffer>& plan) {

@@ -39,8 +39,13 @@
 //     32-bit index permutations with ONE gather per lane at the end instead
 //     of repeatedly moving 48-byte structs.
 //
-// Candidate blocks are recycled whole through a per-run core::SoAPool next
-// to the PlanArena, so steady-state DP makes no allocator calls.
+// Candidate blocks are recycled whole through a per-run core::SoAPool, so
+// steady-state DP makes no allocator calls. Plans live in the caller's
+// PlanArena.
+//
+// With a SubtreeMemo (core::IncrementalContext), process(v) serves valid
+// nodes from the memo and stores every node it recomputes, flushed first:
+// each list sees the same apply+prune sequence as at the parent's flush.
 //
 // The kernel assumes dominance pruning (VgOptions::prune_candidates):
 // core::optimize sends the unpruned ablation to the reference kernel.
@@ -81,11 +86,13 @@ struct SoANodeLists {
 class FastVgRun {
  public:
   FastVgRun(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
-            const VgOptions& opt)
+            const VgOptions& opt, PlanArena& arena, SubtreeMemo* memo)
       : tree_(tree),
         lib_(lib),
         opt_(opt),
         sizing_(!opt.wire_widths.empty()),
+        arena_(arena),
+        memo_(memo),
         type_order_(TypeOrder::make(lib)) {
     for (auto& sizes : view_sizes_) sizes.resize(opt_.max_buffers + 1, 0);
     min_cost_ = 1;
@@ -106,6 +113,9 @@ class FastVgRun {
   };
 
   Lists process(rct::NodeId v);
+  Lists compute(rct::NodeId v);
+  void store(const Lists& lists, SubtreeMemo::Node& node) const;
+  Lists restore(const SubtreeMemo::Node& node);
   void flush(Lists& lists);
   void extend_wire(Lists& lists, rct::NodeId child);
   void insert_buffers(Lists& lists, rct::NodeId v);
@@ -131,7 +141,8 @@ class FastVgRun {
   const lib::BufferLibrary& lib_;
   const VgOptions& opt_;
   const bool sizing_;
-  PlanArena arena_;
+  PlanArena& arena_;
+  SubtreeMemo* memo_;  // null for a cold run
   SoAPool pool_;
   SoAList scratch_;                       // gather target, swapped back
   std::vector<std::uint32_t> perm_;       // index-permutation scratch
@@ -516,6 +527,67 @@ FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
 }
 
 FastVgRun::Lists FastVgRun::process(rct::NodeId v) {
+  if (memo_ == nullptr) return compute(v);
+  SubtreeMemo::Node& cached = memo_->nodes[v.value()];
+  if (cached.valid) {
+    ++memo_->reused;
+    return restore(cached);
+  }
+  Lists lists = compute(v);
+  // Nothing cached may point into the tree: a later split_wire can
+  // reallocate the node storage the pending rct::Wire pointers address.
+  flush(lists);
+  store(lists, cached);
+  ++memo_->recomputed;
+  return lists;
+}
+
+void FastVgRun::store(const Lists& lists, SubtreeMemo::Node& node) const {
+  const std::size_t total = lists.node.total_size();
+  node.offsets.clear();
+  node.values.clear();
+  node.values.reserve(5 * total);
+  node.plans.clear();
+  node.plans.reserve(total);
+  for (const auto& phase_lists : lists.node.by_phase) {
+    for (const SoAList& list : phase_lists) {
+      node.offsets.push_back(static_cast<std::uint32_t>(node.plans.size()));
+      const CandSpan s = list.span();
+      for (const double* lane :
+           {s.load, s.slack, s.current, s.noise_slack, s.dhat})
+        node.values.insert(node.values.end(), lane, lane + s.n);
+      node.plans.insert(node.plans.end(), s.plan, s.plan + s.n);
+    }
+  }
+  node.offsets.push_back(static_cast<std::uint32_t>(total));
+  node.valid = true;
+}
+
+FastVgRun::Lists FastVgRun::restore(const SubtreeMemo::Node& node) {
+  Lists lists;
+  std::size_t b = 0;
+  for (auto& phase_lists : lists.node.by_phase) {
+    phase_lists.resize(opt_.max_buffers + 1);
+    for (SoAList& list : phase_lists) {
+      const std::size_t at = node.offsets[b];
+      const std::size_t n = node.offsets[++b] - at;
+      if (n == 0) continue;
+      list = pool_.acquire();
+      list.reserve(n);
+      list.set_size(n);
+      const double* from = node.values.data() + 5 * at;
+      for (double* lane : {list.load(), list.slack(), list.current(),
+                           list.noise_slack(), list.dhat()}) {
+        std::copy_n(from, n, lane);
+        from += n;
+      }
+      std::copy_n(node.plans.data() + at, n, list.plan());
+    }
+  }
+  return lists;
+}
+
+FastVgRun::Lists FastVgRun::compute(rct::NodeId v) {
   const rct::Node& n = tree_.node(v);
 
   if (n.kind == rct::NodeKind::Sink) {
@@ -548,6 +620,11 @@ FastVgRun::Lists FastVgRun::process(rct::NodeId v) {
 }
 
 VgResult FastVgRun::run() {
+  if (memo_ != nullptr) {
+    memo_->nodes.resize(tree_.node_count());  // trees only grow
+    memo_->reused = 0;
+    memo_->recomputed = 0;
+  }
   Lists at_source = process(tree_.source());
   // The source keeps no pending wires in the reference kernel; flush so the
   // driver fold reads materialized, pruned lists.
@@ -555,7 +632,6 @@ VgResult FastVgRun::run() {
   NBUF_ASSERT_MSG(at_source.pending.empty(),
                   "lazy wire offsets must be flushed before the driver fold");
   stats_.pool_reuses = pool_.reuses();
-  stats_.soa_block_reuses = pool_.reuses();
   // Materialize the source lists as AoS NodeLists for the shared driver
   // fold (finalize is common to both kernels) — a one-time conversion
   // linear in the surviving source candidates.
@@ -716,10 +792,10 @@ void BestPredecessors::select_all(const lib::BufferLibrary& lib,
 }
 
 VgResult run_fast_kernel(const rct::RoutingTree& tree,
-                         const lib::BufferLibrary& lib,
-                         const VgOptions& opt) {
+                         const lib::BufferLibrary& lib, const VgOptions& opt,
+                         PlanArena& arena, SubtreeMemo* memo) {
   NBUF_ASSERT(opt.prune_candidates);
-  FastVgRun run(tree, lib, opt);
+  FastVgRun run(tree, lib, opt, arena, memo);
   return run.run();
 }
 

@@ -1,12 +1,14 @@
 // Internal pieces shared by the two Van Ginneken DP kernels
-// (core/vanginneken.cpp holds the reference kernel and the common driver
-// fold; core/vanginneken_fast.cpp holds the default fast kernel). Not part
-// of the public API — include core/vanginneken.hpp instead.
+// (core/vanginneken.cpp holds the one-shot reference oracle and the common
+// driver fold; core/vanginneken_fast.cpp holds the fast kernel, the one
+// engine of both cold core::optimize and memoized
+// core::IncrementalContext runs). Not part of the public API — include
+// core/vanginneken.hpp instead.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -280,78 +282,55 @@ class BestPredecessors {
   std::vector<std::size_t> best_i_;  // (running q max / its min index)
 };
 
-// Per-node memo of the reference DP: lists[v] caches the NodeLists that
-// process(v) returned (post insert_buffers — the exact value a cold run
-// computes), valid[v] says whether the cache may be served. Because the DP
-// state of a subtree is a pure function of that subtree, serving a cached
-// list is bit-identical to recomputing it as long as the subtree is
-// untouched — the foundation of core::IncrementalContext. Plans inside
-// cached candidates point into the arena the caching run used, so that
-// arena must outlive the cache.
-struct SubtreeCache {
-  std::vector<NodeLists> lists;  // by node id
-  std::vector<char> valid;       // by node id
-  // Per-run tallies (reset by ReferenceDp::run): subtrees served from the
-  // cache vs recomputed. Deterministic — a pure function of the dirty set.
+// Per-node memo of the fast kernel, the engine of core::IncrementalContext:
+// nodes[v] holds the lists process(v) returned, every lazy wire flushed —
+// the exact values a cold run computes, and a pure function of subtree(v).
+// Each node is one packed block: bucket b (phase-major, then count) holds
+// its n = offsets[b+1] - offsets[b] candidates as five n-long value lanes
+// (load, slack, current, noise_slack, dhat) from values[5 * offsets[b]],
+// and plan refs from plans[offsets[b]] — 44 bytes per candidate, with
+// none of an SoAList's 64-byte lane padding. Plan refs index the caching
+// run's arena, which must outlive the memo; no rct::Wire pointer is kept,
+// so a split_wire that reallocates tree storage cannot dangle one.
+struct SubtreeMemo {
+  struct Node {
+    std::vector<std::uint32_t> offsets;  // 2 * (max_buffers + 1) + 1
+    std::vector<double> values;
+    std::vector<PlanRef> plans;
+    bool valid = false;
+  };
+  std::vector<Node> nodes;  // by node id
+  // Per-run tallies (reset by run_fast_kernel): subtrees served from the
+  // memo vs recomputed. Deterministic — a pure function of the dirty set.
   std::size_t reused = 0;
   std::size_t recomputed = 0;
 
-  void ensure_size(std::size_t n) {
-    if (lists.size() < n) lists.resize(n);
-    if (valid.size() < n) valid.resize(n, 0);
+  void invalidate(rct::NodeId v) {  // nodes not yet sized are invalid
+    if (v.value() < nodes.size()) nodes[v.value()].valid = false;
   }
-  void invalidate(rct::NodeId v) {
-    if (v.value() < valid.size()) valid[v.value()] = 0;
+  void invalidate_all() {
+    for (Node& n : nodes) n.valid = false;
   }
-  void invalidate_all() { std::fill(valid.begin(), valid.end(), 0); }
 };
 
-// The reference (seed) DP, promoted out of vanginneken.cpp's anonymous
-// namespace so it can run in two modes:
-//   * one-shot (cache == nullptr, own arena) — the VgKernel::Reference
-//     oracle path of core::optimize, exactly the historic VgRun;
-//   * memoized (external cache + arena) — core::IncrementalContext re-runs
-//     it after perturbations and only the invalidated spine recomputes.
-// Results are bit-identical between the modes (and to the fast kernel,
-// per the PR2/PR6 contract): cached lists hold the same candidate values a
-// cold run would build, cand_less ties resolve by plan CONTENT (not
-// pointer), and finalize() reads only the source lists.
-class ReferenceDp {
- public:
-  ReferenceDp(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
-              const VgOptions& opt, PlanArena& arena,
-              SubtreeCache* cache = nullptr)
-      : tree_(tree), lib_(lib), opt_(opt), arena_(arena), cache_(cache) {
-    stats_.lib_types = lib_.size();
-  }
-
-  VgResult run();
-
- private:
-  NodeLists process(rct::NodeId v);
-  NodeLists compute(rct::NodeId v);
-  void prune(CandList& list);
-  void extend_wire(NodeLists& lists, rct::NodeId child);
-  void insert_buffers(NodeLists& lists, rct::NodeId v);
-  NodeLists merge(const NodeLists& l, const NodeLists& r);
-  void note_created(std::size_t n) { stats_.candidates_generated += n; }
-
-  const rct::RoutingTree& tree_;
-  const lib::BufferLibrary& lib_;
-  const VgOptions& opt_;
-  PlanArena& arena_;
-  SubtreeCache* cache_;
-  util::VgStats stats_;
-};
+// The input contract of both DP entry points (core::optimize and
+// core::IncrementalContext): binary tree, non-empty library, a bucket count
+// that fits, and per-type costs matching the library.
+void expect_valid_inputs(const rct::RoutingTree& tree,
+                         const lib::BufferLibrary& lib,
+                         const VgOptions& options);
 
 // Driver fold (Fig. 10 Steps 2-4) and objective selection, shared verbatim
 // by both kernels so a kernel difference can only come from the DP itself.
 VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
                   const VgOptions& opt, const util::VgStats& stats);
 
-// Entry point of the fast kernel (vanginneken_fast.cpp); preconditions are
-// checked by core::optimize.
+// Entry point of the fast kernel (vanginneken_fast.cpp); the caller has
+// checked expect_valid_inputs. Plans are built in `arena`. With a memo,
+// valid nodes are served from it and every recomputed node is stored back
+// (the memo is sized to the tree here); a cold core::optimize passes none.
 VgResult run_fast_kernel(const rct::RoutingTree& tree,
-                         const lib::BufferLibrary& lib, const VgOptions& opt);
+                         const lib::BufferLibrary& lib, const VgOptions& opt,
+                         PlanArena& arena, SubtreeMemo* memo = nullptr);
 
 }  // namespace nbuf::core::detail

@@ -90,11 +90,6 @@ const char* to_string(Opcode op) {
   return "UNKNOWN";
 }
 
-bool is_request_opcode(std::uint16_t raw) {
-  return raw >= static_cast<std::uint16_t>(Opcode::LoadNet) &&
-         raw <= static_cast<std::uint16_t>(Opcode::Shutdown);
-}
-
 const char* to_string(HeaderError err) {
   switch (err) {
     case HeaderError::None: return "none";

@@ -48,7 +48,6 @@ enum class Opcode : std::uint16_t {
 };
 
 [[nodiscard]] const char* to_string(Opcode op);
-[[nodiscard]] bool is_request_opcode(std::uint16_t raw);
 
 struct FrameHeader {
   std::uint32_t magic = kMagic;

@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -53,20 +54,18 @@ std::vector<std::string> tokens_of(const std::string& line) {
   return t;
 }
 
+// Digits only (std::from_chars takes no sign): a "-1" wrapped to SIZE_MAX
+// would reach the DP as max_buffers + 1 == 0 buckets.
 std::size_t parse_index(const std::string& v, const char* what) {
-  std::size_t pos = 0;
-  unsigned long long n = 0;
-  try {
-    n = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos == 0 || pos != v.size())
+  std::size_t n = 0;
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, n);
+  if (ec != std::errc{} || stop != end)
     throw ProtocolError(ErrorCode::BadRequest,
                         std::string(what) + " needs a nonnegative integer, "
                                             "got '" +
                             v + "'");
-  return static_cast<std::size_t>(n);
+  return n;
 }
 
 double parse_double(const std::string& v, const char* what) {
@@ -107,19 +106,6 @@ struct Session::Impl {
     std::optional<lib::Technology> tech;
     std::unique_ptr<core::IncrementalContext> ctx;
     core::VgOptions ctx_opts;  // options the context was built with
-  };
-
-  // Per-request counter movement, folded serially in request order so
-  // parallel handlers never touch shared counters.
-  struct Delta {
-    std::uint64_t errors = 0;
-    std::uint64_t nets_loaded = 0;
-    std::uint64_t libs_loaded = 0;
-    std::uint64_t optimizes = 0;
-    std::uint64_t perturbs = 0;
-    std::uint64_t signoffs = 0;
-    std::uint64_t reused = 0;
-    std::uint64_t recomputed = 0;
   };
 
   SessionOptions opt;
@@ -212,7 +198,7 @@ struct Session::Impl {
     return out;
   }
 
-  std::string do_load_net(const std::string& payload, Delta& d) {
+  std::string do_load_net(const std::string& payload, Counters& d) {
     auto text = payload;
     double segment_um = opt.segment_um;
     // An optional leading "segment <um>" line overrides the granularity.
@@ -253,7 +239,7 @@ struct Session::Impl {
            " sinks " + std::to_string(sinks) + "\n";
   }
 
-  std::string do_load_lib(const std::string& payload, Delta& d) {
+  std::string do_load_lib(const std::string& payload, Counters& d) {
     io::LibFile f;
     try {
       std::istringstream in(payload);
@@ -269,7 +255,7 @@ struct Session::Impl {
     return "ok lib types " + std::to_string(library.size()) + "\n";
   }
 
-  std::string do_optimize(const std::string& payload, Delta& d) {
+  std::string do_optimize(const std::string& payload, Counters& d) {
     const auto lines = split_lines(payload);
     const std::string name = peek_net_name(payload);
     if (name.empty())
@@ -282,8 +268,8 @@ struct Session::Impl {
     ctx.invalidate_all();  // OPTIMIZE is by definition a cold full run
     (void)ctx.optimize();
     ++d.optimizes;
-    d.reused += ctx.stats().last_reused;
-    d.recomputed += ctx.stats().last_recomputed;
+    d.subtrees_reused += ctx.stats().last_reused;
+    d.subtrees_recomputed += ctx.stats().last_recomputed;
     return render_solution(name, ctx);
   }
 
@@ -343,7 +329,7 @@ struct Session::Impl {
     }
   }
 
-  std::string do_perturb(const std::string& payload, Delta& d) {
+  std::string do_perturb(const std::string& payload, Counters& d) {
     const auto lines = split_lines(payload);
     const std::string name = peek_net_name(payload);
     if (name.empty())
@@ -373,12 +359,12 @@ struct Session::Impl {
     if (full) ctx.invalidate_all();
     (void)ctx.optimize();
     ++d.perturbs;
-    d.reused += ctx.stats().last_reused;
-    d.recomputed += ctx.stats().last_recomputed;
+    d.subtrees_reused += ctx.stats().last_reused;
+    d.subtrees_recomputed += ctx.stats().last_recomputed;
     return render_solution(name, ctx);
   }
 
-  std::string do_signoff(const std::string& payload, Delta& d) {
+  std::string do_signoff(const std::string& payload, Counters& d) {
     const std::string name = peek_net_name(payload);
     if (name.empty())
       throw ProtocolError(ErrorCode::BadRequest,
@@ -422,8 +408,10 @@ struct Session::Impl {
     return out;
   }
 
-  // Dispatches one request into (response payload, delta); never throws.
-  Frame dispatch(const Frame& req, Delta& d) {
+  // Dispatches one request into its response and the counter movement `d`
+  // (folded serially in request order, so parallel handlers never touch
+  // shared counters); never throws.
+  Frame dispatch(const Frame& req, Counters& d) {
     Frame resp;
     resp.request_id = req.request_id;
     try {
@@ -469,17 +457,6 @@ struct Session::Impl {
     return resp;
   }
 
-  void fold(const Delta& d) {
-    counters.errors += d.errors;
-    counters.nets_loaded += d.nets_loaded;
-    counters.libs_loaded += d.libs_loaded;
-    counters.optimizes += d.optimizes;
-    counters.perturbs += d.perturbs;
-    counters.signoffs += d.signoffs;
-    counters.subtrees_reused += d.reused;
-    counters.subtrees_recomputed += d.recomputed;
-  }
-
   // True when the request may run concurrently with other compute requests
   // of the same batch (its handler touches only its own net's entry).
   static bool parallel_safe(const Frame& f) {
@@ -505,19 +482,19 @@ struct Session::Impl {
         const std::size_t base = i;
         const std::size_t n = j - i;
         counters.requests += n;  // before STATS later in the batch
-        std::vector<Delta> deltas(n);
+        std::vector<Counters> deltas(n);
         batch::parallel_for_index(n, opt.threads, [&](std::size_t k) {
           responses[base + k] =
               dispatch(requests[base + k], deltas[k]);
         });
-        for (const Delta& d : deltas) fold(d);  // serial, index order
+        for (const Counters& d : deltas) counters += d;  // index order
         i = j;
         continue;
       }
       ++counters.requests;
-      Delta d;
+      Counters d;
       responses[i] = dispatch(requests[i], d);
-      fold(d);
+      counters += d;
       ++i;
     }
     return responses;

@@ -71,6 +71,19 @@ class Session {
     std::uint64_t signoffs = 0;
     std::uint64_t subtrees_reused = 0;
     std::uint64_t subtrees_recomputed = 0;
+
+    Counters& operator+=(const Counters& o) noexcept {
+      requests += o.requests;
+      errors += o.errors;
+      nets_loaded += o.nets_loaded;
+      libs_loaded += o.libs_loaded;
+      optimizes += o.optimizes;
+      perturbs += o.perturbs;
+      signoffs += o.signoffs;
+      subtrees_reused += o.subtrees_reused;
+      subtrees_recomputed += o.subtrees_recomputed;
+      return *this;
+    }
   };
   [[nodiscard]] const Counters& counters() const noexcept;
 

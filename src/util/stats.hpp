@@ -37,7 +37,7 @@ struct VgStats {
   std::size_t offset_flushes = 0;       // lazy wire offsets materialized
   std::size_t snapshot_cands_avoided = 0;  // candidates NOT deep-copied at
                                            // buffer insertion (read views)
-  std::size_t pool_reuses = 0;  // candidate-list buffers recycled
+  std::size_t pool_reuses = 0;  // candidate-list blocks recycled (pool)
   // Best-predecessor counters (fast kernel, PR 6). With b buffer types the
   // naive insertion step re-evaluates noise/slew feasibility for every
   // candidate once per type; the fast kernel binary-searches each
@@ -51,7 +51,6 @@ struct VgStats {
   // SoA-layout counters (fast kernel, PR 10). Candidate lists live in
   // structure-of-arrays lane blocks (core/soa.hpp); these describe how
   // that layout behaved.
-  std::size_t soa_block_reuses = 0;    // SoA lane blocks recycled (pool)
   std::size_t soa_flush_elems = 0;     // candidates updated by wire
                                        // flushes (width = /offset_flushes)
   std::size_t soa_prunes_no_move = 0;  // prunes that killed nothing and
@@ -109,8 +108,6 @@ inline constexpr VgStatsField kVgStatsFields[] = {
      "vg.bp_candidates_killed"},
     {"lib_types", &VgStats::lib_types, VgStatsField::Agg::Max,
      VgStatsField::Metric::Gauge, "lib.types"},
-    {"soa_block_reuses", &VgStats::soa_block_reuses, VgStatsField::Agg::Sum,
-     VgStatsField::Metric::Counter, "vg.soa_block_reuses"},
     {"soa_flush_elems", &VgStats::soa_flush_elems, VgStatsField::Agg::Sum,
      VgStatsField::Metric::Counter, "vg.soa_flush_elems"},
     {"soa_prunes_no_move", &VgStats::soa_prunes_no_move,

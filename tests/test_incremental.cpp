@@ -5,6 +5,7 @@
 #include "common/test_nets.hpp"
 #include "core/incremental.hpp"
 #include "core/vanginneken.hpp"
+#include "lib/wire.hpp"
 #include "noise/devgan.hpp"
 #include "noise/incremental.hpp"
 #include "seg/segment.hpp"
@@ -225,12 +226,44 @@ TEST(Incremental, DifferentialAgainstFullRecomputeOnPerturbedTrees) {
 
 // ---------------------------------------------------------------------------
 // core::IncrementalContext: the subtree-memoized DP must answer perturbed
-// trees bit-identically to a cold full run on the same tree.
+// trees bit-identically to a cold full run on the same tree. The context
+// always runs the fast kernel; `kernel = Reference` here selects the cold
+// side, so every comparison is memoized Fast against one-shot Reference.
 
 core::VgOptions inc_options() {
   core::VgOptions opt;
   opt.kernel = core::VgKernel::Reference;
   opt.max_buffers = 8;
+  return opt;
+}
+
+// inc_options() in six shapes, one per DP path the memo must carry
+// bit-identically: the BuffOpt default, the min-buffers objective, wire
+// sizing (the non-lazy fork/sort path), Lillis buffer costs, a finite slew
+// limit, and DelayOpt without noise constraints.
+core::VgOptions inc_variant(int which) {
+  core::VgOptions opt = inc_options();
+  switch (which % 6) {
+    case 0:
+      break;
+    case 1:
+      opt.objective = core::VgObjective::MinBuffersMeetingConstraints;
+      break;
+    case 2:
+      opt.wire_widths = lib::default_wire_widths();
+      break;
+    case 3:
+      opt.buffer_costs.assign(kLib.size(), 1);
+      for (std::size_t i = 0; i < opt.buffer_costs.size(); i += 2)
+        opt.buffer_costs[i] = 2;
+      break;
+    case 4:
+      opt.max_slew = 150.0 * ps;
+      break;
+    case 5:
+      opt.noise_constraints = false;
+      break;
+  }
   return opt;
 }
 
@@ -259,21 +292,30 @@ TEST(IncrementalContext, FirstRunMatchesPlainOptimize) {
 // The extraction guard: the 120-case differential, re-pointed at the
 // library API. Random local edits flow through IncrementalContext::apply
 // and the memoized re-run must equal a from-scratch core::optimize on the
-// perturbed tree — the exact contract the serve layer's PERTURB relies on.
+// perturbed tree — the exact contract the serve layer's PERTURB relies on —
+// under every option variant (trial % 6).
 TEST(IncrementalContext, DifferentialAgainstColdRunOnPerturbedTrees) {
   util::Rng rng(20260807);
   std::size_t reused_total = 0;
   for (int trial = 0; trial < 120; ++trial) {
+    const core::VgOptions opt = inc_variant(trial);
     auto t = random_dp_net(rng);
-    core::IncrementalContext ctx(std::move(t), kLib, inc_options());
+    core::IncrementalContext ctx(std::move(t), kLib, opt);
     (void)ctx.optimize();
     const int edits = rng.uniform_int(1, 4);
     for (int e = 0; e < edits; ++e)
       (void)ctx.apply(core::random_perturbation(rng, ctx.tree()));
     const auto& fast = ctx.optimize();
     reused_total += ctx.stats().last_reused;
-    const auto cold = core::optimize(ctx.tree(), kLib, inc_options());
-    ASSERT_TRUE(core::same_solution(fast, cold)) << "trial " << trial;
+    const auto cold = core::optimize(ctx.tree(), kLib, opt);
+    ASSERT_TRUE(core::same_solution(fast, cold))
+        << "trial " << trial << " variant " << trial % 6;
+    // With no edit in between, the whole answer comes from the memo —
+    // including the source, the node whose own DP step leaves its child's
+    // wire offset pending, to be flushed before it is stored.
+    ASSERT_TRUE(core::same_solution(ctx.optimize(), cold))
+        << "trial " << trial << " re-run";
+    EXPECT_EQ(ctx.stats().last_recomputed, 0u);
   }
   // Local edits must actually exercise the cache, not recompute the world.
   EXPECT_GT(reused_total, 0u);

@@ -208,6 +208,30 @@ TEST(ServeSession, RequestFaultsAreTypedAndCounted) {
   EXPECT_EQ(field_of(st.payload, "errors"), "5") << st.payload;
 }
 
+// Index and count fields take digits only: a wrapped "-1" would make
+// max_buffers SIZE_MAX, and max_buffers + 1 zero DP buckets.
+TEST(ServeSession, SignedIndicesAreTypedBadRequests) {
+  serve::Session session;
+  ASSERT_TRUE(is_ok(session.handle(
+      req(Opcode::LoadNet, net_payload(34, "delta")))));
+  for (const char* payload :
+       {"net delta\nmax_buffers -1\n", "net delta\nmax_buffers +3\n"}) {
+    const Frame r = session.handle(req(Opcode::Optimize, payload));
+    EXPECT_EQ(r.op, Opcode::Error) << payload;
+    EXPECT_EQ(r.payload.rfind("error bad_request:", 0), 0u) << r.payload;
+  }
+  const Frame r = session.handle(
+      req(Opcode::Perturb, "net delta\nscale_wire -1 1.1 1.1 1.1\n"));
+  EXPECT_EQ(r.op, Opcode::Error);
+  EXPECT_EQ(r.payload.rfind("error bad_request:", 0), 0u) << r.payload;
+  // The session keeps serving, with the faults counted.
+  const Frame opt = session.handle(req(Opcode::Optimize, "net delta\n"));
+  ASSERT_TRUE(is_ok(opt)) << opt.payload;
+  const Frame st = session.handle(req(Opcode::Stats, ""));
+  EXPECT_EQ(field_of(st.payload, "errors"), "3") << st.payload;
+  EXPECT_EQ(field_of(st.payload, "optimizes"), "1") << st.payload;
+}
+
 TEST(ServeSession, ConflictingOptimizeOptionsAreBadState) {
   serve::Session session;
   ASSERT_TRUE(is_ok(session.handle(

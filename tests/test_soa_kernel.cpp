@@ -180,7 +180,7 @@ TEST(SoAKernel, DifferentialFuzzAgainstReferenceAcrossLibraries) {
   // flushes over lanes, recycled lane blocks, and converged lists where
   // the fused prune moved nothing.
   EXPECT_GT(fast_total.soa_flush_elems, 0u);
-  EXPECT_GT(fast_total.soa_block_reuses, 0u);
+  EXPECT_GT(fast_total.pool_reuses, 0u);
   EXPECT_GT(fast_total.soa_prunes_no_move, 0u);
 }
 

@@ -183,14 +183,13 @@ TEST(Stats, VgStatsFieldTableCoversEveryField) {
       .prune_calls = 6, .prune_sorts = 7, .prune_sorts_skipped = 8,
       .offset_flushes = 9, .snapshot_cands_avoided = 10, .pool_reuses = 11,
       .bp_prune_calls = 12, .bp_candidates_killed = 13, .lib_types = 14,
-      .soa_block_reuses = 15, .soa_flush_elems = 16,
-      .soa_prunes_no_move = 17};
+      .soa_flush_elems = 15, .soa_prunes_no_move = 16};
   const std::vector<std::string> declared = {
       "candidates_generated", "pruned_inferior", "pruned_infeasible",
       "merged", "peak_list_size", "prune_calls", "prune_sorts",
       "prune_sorts_skipped", "offset_flushes", "snapshot_cands_avoided",
       "pool_reuses", "bp_prune_calls", "bp_candidates_killed", "lib_types",
-      "soa_block_reuses", "soa_flush_elems", "soa_prunes_no_move"};
+      "soa_flush_elems", "soa_prunes_no_move"};
   ASSERT_EQ(std::size(util::kVgStatsFields), declared.size());
 
   for (const Field& f : util::kVgStatsFields) {
