@@ -3,7 +3,7 @@
 // Every table bench runs on the same seed-stable 500-net testbench so rows
 // are directly comparable across binaries, exactly as the paper reuses its
 // 500 PowerPC nets across Tables I-IV. The sized variant and the phases
-// helper serve the timing benches (figH/figI): one workload loader instead
+// helper serve the timing benches (figI/figK): one workload loader instead
 // of per-binary copies, and one JSON shape for per-phase span timings.
 #pragma once
 

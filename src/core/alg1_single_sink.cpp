@@ -70,7 +70,7 @@ NoiseAvoidanceResult avoid_noise_single_sink(
     ++state.buffers;
   }
 
-  apply_plan(tree, collect(state.plan), result.buffers,
+  apply_plan(tree, collect(arena, state.plan), result.buffers,
              /*allow_any_site=*/true);
   result.buffer_count = state.buffers;
   NBUF_ASSERT(result.buffers.size() == state.buffers);

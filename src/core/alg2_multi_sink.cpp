@@ -63,8 +63,8 @@ void prune(std::vector<ClimbState>& cands) {
 class Alg2Run {
  public:
   Alg2Run(const rct::RoutingTree& tree, const lib::BufferType& buf,
-          lib::BufferId bid)
-      : tree_(tree), buf_(buf), bid_(bid) {}
+          lib::BufferId bid, PlanArena& arena)
+      : tree_(tree), buf_(buf), bid_(bid), arena_(arena) {}
 
   // Candidates at `v` (below its parent wire), Fig. 9 Steps 1-7.
   std::vector<ClimbState> candidates_at(rct::NodeId v);
@@ -79,18 +79,13 @@ class Alg2Run {
   // pin. For zero-length branch wires the buffer sits at `child` itself.
   ClimbState decouple(rct::NodeId child, const ClimbState& branch);
 
-  // Joins two branch plans (used by the caller's source handling).
-  const PlanCell* merge_plans(const PlanCell* a, const PlanCell* b) {
-    return arena_.merge(a, b);
-  }
-
   Alg2Stats stats;
 
  private:
   const rct::RoutingTree& tree_;
   const lib::BufferType& buf_;
   lib::BufferId bid_;
-  PlanArena arena_;
+  PlanArena& arena_;
 };
 
 std::vector<ClimbState> Alg2Run::climbed(rct::NodeId child) {
@@ -223,7 +218,8 @@ MultiSinkResult avoid_noise_multi_sink(const rct::RoutingTree& input,
   const rct::Node& src = tree.node(tree.source());
   NBUF_EXPECTS_MSG(!src.children.empty(), "net has no sinks");
 
-  Alg2Run run(tree, buf, bid);
+  PlanArena arena;
+  Alg2Run run(tree, buf, bid, arena);
 
   // Source handling (Algorithm 1 Step 5 generalized): build the candidate
   // set at the source including driver-guard variants — a buffer just below
@@ -250,7 +246,7 @@ MultiSinkResult avoid_noise_multi_sink(const rct::RoutingTree& input,
             m.current = la.current + rb.current;
             m.noise_slack = std::min(la.noise_slack, rb.noise_slack);
             m.buffers = la.buffers + rb.buffers;
-            m.plan = run.merge_plans(la.plan, rb.plan);
+            m.plan = arena.merge(la.plan, rb.plan);
             final_cands.push_back(m);
           }
         }
@@ -272,7 +268,7 @@ MultiSinkResult avoid_noise_multi_sink(const rct::RoutingTree& input,
   NBUF_ASSERT_MSG(best != nullptr,
                   "noise avoidance is always feasible with source guards");
 
-  apply_plan(tree, collect(best->plan), result.buffers,
+  apply_plan(tree, collect(arena, best->plan), result.buffers,
              /*allow_any_site=*/true);
   result.buffer_count = best->buffers;
   result.stats = run.stats;

@@ -9,7 +9,7 @@
 // bit-identical to a cold run on the perturbed tree by construction —
 // cached lists hold exactly the values a cold run would rebuild, and
 // candidate-order ties resolve by plan CONTENT (detail::cand_less), never
-// by arena pointer. Every run is the fast kernel, the default engine of a
+// by ref value. Every run is the fast kernel, the default engine of a
 // cold core::optimize; its memo is detail::SubtreeMemo (core/vg_kernel.hpp),
 // one packed block of candidate lanes plus bucket offsets per node.
 //
@@ -19,8 +19,9 @@
 // IncrementalContext::apply() and cross-checks a cold core::optimize.
 //
 // Memory: the context owns one PlanArena for its whole lifetime (cached
-// candidates hold refs into it), so arena cells accumulate across
-// re-optimizations; Stats::plan_cells tracks the growth.
+// candidates hold refs into it) and never frees a cell, so the arena grows
+// without a bound across re-optimizations, 24 bytes per cell;
+// Stats::plan_cells tracks the growth.
 #pragma once
 
 #include <cstddef>

@@ -32,7 +32,7 @@ struct ClimbState {
   double current = 0.0;      // A — downstream current I(v), eq. 7
   double noise_slack = 0.0;  // V — NS(v), eq. 12
   std::size_t buffers = 0;
-  const PlanCell* plan = nullptr;
+  PlanRef plan = kNullPlan;
 };
 
 // Climbs the parent wire of `below` (electrical values `w`), inserting

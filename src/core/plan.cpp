@@ -7,89 +7,71 @@
 
 namespace nbuf::core {
 
-const PlanCell* PlanArena::buffer(const PlanCell* prev,
-                                  PlannedBuffer placement) {
+// A PlanRef is 32-bit; one arena materializing 2^32 cells would long since
+// have exhausted memory, but the contract makes the limit explicit.
+PlanRef PlanArena::push(const PlanCell& c) {
+  NBUF_ASSERT(cells_.size() < UINT32_MAX);
+  cells_.push_back(c);
+  return static_cast<PlanRef>(cells_.size());
+}
+
+PlanRef PlanArena::buffer(PlanRef prev, PlannedBuffer placement) {
   NBUF_EXPECTS(placement.node.valid());
   NBUF_EXPECTS(placement.type.valid());
   NBUF_EXPECTS(placement.dist_above >= 0.0);
-  PlanCell c;
-  c.kind = PlanCell::Kind::Buffer;
-  c.placement = placement;
-  c.a = prev;
-  cells_.push_back(c);
-  return &cells_.back();
+  return push(PlanCell{prev, placement.node.value(), placement.type.value(),
+                       PlanCell::Kind::Buffer, placement.dist_above});
 }
 
-const PlanCell* PlanArena::wire(const PlanCell* prev, PlannedWire choice) {
+PlanRef PlanArena::wire(PlanRef prev, PlannedWire choice) {
   NBUF_EXPECTS(choice.node.valid());
-  PlanCell c;
-  c.kind = PlanCell::Kind::Wire;
-  c.wire = choice;
-  c.a = prev;
-  cells_.push_back(c);
-  return &cells_.back();
+  NBUF_EXPECTS(choice.width <= UINT32_MAX);
+  return push(PlanCell{prev, choice.node.value(),
+                       static_cast<std::uint32_t>(choice.width),
+                       PlanCell::Kind::Wire, 0.0});
 }
 
-const PlanCell* PlanArena::merge(const PlanCell* left, const PlanCell* right) {
-  if (left == nullptr) return right;
-  if (right == nullptr) return left;
-  PlanCell c;
-  c.kind = PlanCell::Kind::Merge;
-  c.a = left;
-  c.b = right;
-  cells_.push_back(c);
-  return &cells_.back();
-}
-
-// The ref builders delegate to the pointer builders (one code path for the
-// cell payload checks) and hand back the index of the appended cell. A
-// PlanRef is 32-bit; one DP run materializing 2^32 cells would long since
-// have exhausted memory, but the contract makes the limit explicit.
-PlanRef PlanArena::buffer_ref(PlanRef prev, PlannedBuffer placement) {
-  buffer(cell(prev), placement);
-  NBUF_ASSERT(cells_.size() < UINT32_MAX);
-  return static_cast<PlanRef>(cells_.size());
-}
-
-PlanRef PlanArena::wire_ref(PlanRef prev, PlannedWire choice) {
-  wire(cell(prev), choice);
-  NBUF_ASSERT(cells_.size() < UINT32_MAX);
-  return static_cast<PlanRef>(cells_.size());
-}
-
-PlanRef PlanArena::merge_ref(PlanRef left, PlanRef right) {
+PlanRef PlanArena::merge(PlanRef left, PlanRef right) {
   if (left == kNullPlan) return right;
   if (right == kNullPlan) return left;
-  merge(cell(left), cell(right));
-  NBUF_ASSERT(cells_.size() < UINT32_MAX);
-  return static_cast<PlanRef>(cells_.size());
+  return push(PlanCell{left, right, 0, PlanCell::Kind::Merge, 0.0});
 }
 
-std::vector<PlannedBuffer> collect(const PlanCell* plan) {
-  std::vector<PlannedBuffer> out;
-  std::vector<const PlanCell*> stack;
-  if (plan != nullptr) stack.push_back(plan);
+namespace {
+
+// Depth-first walk of every cell reachable from `plan`: predecessor pushed
+// before the right branch, so the right branch is visited first.
+template <class Visit>
+void walk(const PlanArena& arena, PlanRef plan, Visit visit) {
+  std::vector<PlanRef> stack;
+  if (plan != kNullPlan) stack.push_back(plan);
   while (!stack.empty()) {
-    const PlanCell* c = stack.back();
+    const PlanCell& c = arena.at(stack.back());
     stack.pop_back();
-    if (c->kind == PlanCell::Kind::Buffer) out.push_back(c->placement);
-    if (c->a != nullptr) stack.push_back(c->a);
-    if (c->b != nullptr) stack.push_back(c->b);
+    visit(c);
+    if (c.a != kNullPlan) stack.push_back(c.a);
+    if (c.kind == PlanCell::Kind::Merge) stack.push_back(c.x);
   }
+}
+
+}  // namespace
+
+std::vector<PlannedBuffer> collect(const PlanArena& arena, PlanRef plan) {
+  std::vector<PlannedBuffer> out;
+  walk(arena, plan, [&out](const PlanCell& c) {
+    if (c.kind == PlanCell::Kind::Buffer)
+      out.push_back(
+          PlannedBuffer{rct::NodeId{c.x}, c.dist, lib::BufferId{c.y}});
+  });
   return out;
 }
 
-std::vector<PlannedWire> collect_wires(const PlanCell* plan) {
+std::vector<PlannedWire> collect_wires(const PlanArena& arena, PlanRef plan) {
   std::vector<PlannedWire> out;
-  std::vector<const PlanCell*> stack;
-  if (plan != nullptr) stack.push_back(plan);
-  while (!stack.empty()) {
-    const PlanCell* c = stack.back();
-    stack.pop_back();
-    if (c->kind == PlanCell::Kind::Wire) out.push_back(c->wire);
-    if (c->a != nullptr) stack.push_back(c->a);
-    if (c->b != nullptr) stack.push_back(c->b);
-  }
+  walk(arena, plan, [&out](const PlanCell& c) {
+    if (c.kind == PlanCell::Kind::Wire)
+      out.push_back(PlannedWire{rct::NodeId{c.x}, c.y});
+  });
   return out;
 }
 

@@ -3,9 +3,10 @@
 // Dynamic-programming candidates must each remember "the current solution
 // for the subtree" (the paper's M component) without copying buffer lists on
 // every merge. Following the paper's footnote 7, solutions are stored as an
-// immutable DAG of arena-allocated cells: a Buffer cell prepends one
-// placement, a Merge cell joins the solutions of two branches. The final
-// placement list is recovered by one DFS over the chosen candidate's DAG.
+// immutable DAG of arena-allocated cells addressed by 32-bit refs: a Buffer
+// cell prepends one placement, a Wire cell one wire-width choice, a Merge
+// cell joins the solutions of two branches. The final placement list is
+// recovered by one DFS over the chosen candidate's DAG.
 //
 // A placement is (node, dist_above, type): a buffer `dist_above` µm up the
 // parent wire of `node` (0 = at the node itself — the only form Algorithm 3
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "lib/buffer.hpp"
@@ -36,49 +36,45 @@ struct PlannedWire {
   std::size_t width = 0;
 };
 
-class PlanArena;
-
-// Index-based handle to a PlanCell of one PlanArena: 0 is the empty
-// solution, any other value is cell index + 1. Packs a candidate's plan
-// into a 4-byte lane of the fast kernel's SoA candidate blocks
-// (core/soa.hpp) where a pointer would double the lane width; refs and
-// pointers address the same cells, so a ref converts to a pointer (and
-// back to the shared plan_compare/collect machinery) via PlanArena::cell.
+// Handle to a PlanCell of one PlanArena: 0 is the empty solution, any other
+// value is cell index + 1. Candidates hold refs, never cell addresses, so a
+// plan packs into a 4-byte lane of the fast kernel's SoA candidate blocks
+// (core/soa.hpp) and the arena may move its cells when it grows.
 using PlanRef = std::uint32_t;
 inline constexpr PlanRef kNullPlan = 0;
 
-// One immutable cell of a candidate's solution DAG.
+// One immutable cell of a candidate's solution DAG: a tagged payload over
+// two 32-bit slots plus a distance.
+//   Buffer: a = previous solution, x = node, y = buffer type, dist.
+//   Wire:   a = previous solution, x = node, y = width.
+//   Merge:  a = left branch, x = right branch (a PlanRef).
 struct PlanCell {
-  enum class Kind { Buffer, Wire, Merge };
+  enum class Kind : std::uint8_t { Buffer, Wire, Merge };
+  PlanRef a = kNullPlan;
+  std::uint32_t x = 0;
+  std::uint32_t y = 0;
   Kind kind = Kind::Buffer;
-  PlannedBuffer placement;       // valid for Buffer cells
-  PlannedWire wire;              // valid for Wire cells
-  const PlanCell* a = nullptr;   // previous solution / left branch
-  const PlanCell* b = nullptr;   // right branch (Merge only)
+  double dist = 0.0;
 };
+static_assert(sizeof(PlanCell) <= 24, "PlanCell must stay a 24-byte cell");
 
-// Owns every PlanCell of one optimization run. Candidates hold raw pointers
-// into the arena, which must outlive them.
+// Owns every PlanCell of one optimization run (or, for
+// core::IncrementalContext, of a context's lifetime). Refs into the arena
+// stay valid for its lifetime; cell references from at() only until the
+// next builder call.
 class PlanArena {
  public:
   // Solution `prev` extended with one placement.
-  const PlanCell* buffer(const PlanCell* prev, PlannedBuffer placement);
+  PlanRef buffer(PlanRef prev, PlannedBuffer placement);
   // Solution `prev` extended with one wire-width choice.
-  const PlanCell* wire(const PlanCell* prev, PlannedWire choice);
-  // Union of two branch solutions (either may be null).
-  const PlanCell* merge(const PlanCell* left, const PlanCell* right);
+  PlanRef wire(PlanRef prev, PlannedWire choice);
+  // Union of two branch solutions. A one-sided merge (either side
+  // kNullPlan) returns the other side's existing ref, allocating nothing.
+  PlanRef merge(PlanRef left, PlanRef right);
 
-  // The PlanRef (index) forms of the three builders, for callers that store
-  // plans in 32-bit lanes. merge_ref shares the pointer form's shortcut: a
-  // one-sided merge returns the other side's existing ref, allocating
-  // nothing.
-  PlanRef buffer_ref(PlanRef prev, PlannedBuffer placement);
-  PlanRef wire_ref(PlanRef prev, PlannedWire choice);
-  PlanRef merge_ref(PlanRef left, PlanRef right);
-
-  // The cell a ref addresses; nullptr for kNullPlan.
-  [[nodiscard]] const PlanCell* cell(PlanRef ref) const {
-    return ref == kNullPlan ? nullptr : &cells_[ref - 1];
+  // The cell `ref` addresses; ref must not be kNullPlan.
+  [[nodiscard]] const PlanCell& at(PlanRef ref) const {
+    return cells_[ref - 1];
   }
 
   [[nodiscard]] std::size_t cell_count() const noexcept {
@@ -86,14 +82,18 @@ class PlanArena {
   }
 
  private:
-  std::deque<PlanCell> cells_;  // deque: stable addresses across growth
+  PlanRef push(const PlanCell& c);
+
+  std::vector<PlanCell> cells_;
 };
 
-// All placements reachable from `plan` (null = empty solution).
-[[nodiscard]] std::vector<PlannedBuffer> collect(const PlanCell* plan);
+// All placements reachable from `plan` (kNullPlan = empty solution).
+[[nodiscard]] std::vector<PlannedBuffer> collect(const PlanArena& arena,
+                                                 PlanRef plan);
 
 // All wire-width choices reachable from `plan`.
-[[nodiscard]] std::vector<PlannedWire> collect_wires(const PlanCell* plan);
+[[nodiscard]] std::vector<PlannedWire> collect_wires(const PlanArena& arena,
+                                                     PlanRef plan);
 
 // Materializes a plan onto `tree`: splits wires where dist_above > 0
 // (grouping multiple buffers per wire) and fills `out` with the final

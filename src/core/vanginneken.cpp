@@ -56,7 +56,10 @@ void ReferenceDp::prune(CandList& list) {
     std::erase_if(list, [](const VgCand& c) { return c.noise_slack < 0.0; });
     stats_.pruned_infeasible += before - list.size();
   }
-  std::sort(list.begin(), list.end(), detail::cand_less);
+  std::sort(list.begin(), list.end(),
+            [this](const VgCand& a, const VgCand& b) {
+              return detail::cand_less(a, b, arena_);
+            });
   if (opt_.prune_candidates) {
     CandList kept;
     double best_slack = -std::numeric_limits<double>::infinity();
@@ -69,7 +72,8 @@ void ReferenceDp::prune(CandList& list) {
     list = std::move(kept);
   }
   stats_.peak_list_size = std::max(stats_.peak_list_size, list.size());
-  if (detail::verify_lists_enabled(opt_)) detail::verify_cand_list(list, opt_);
+  if (detail::verify_lists_enabled(opt_))
+    detail::verify_cand_list(list, opt_, arena_);
 }
 
 void ReferenceDp::extend_wire(NodeLists& lists, rct::NodeId child) {
@@ -274,13 +278,17 @@ NodeLists ReferenceDp::process(rct::NodeId v) {
 
 VgResult ReferenceDp::run() {
   const NodeLists at_source = process(tree_.source());
-  return detail::finalize(at_source, tree_, opt_, stats_);
+  return detail::finalize(at_source, tree_, opt_, stats_, arena_);
 }
 
 }  // namespace
 
-void verify_cand_list(const CandList& list, const VgOptions& opt) {
-  NBUF_ASSERT_MSG(std::is_sorted(list.begin(), list.end(), cand_less),
+void verify_cand_list(const CandList& list, const VgOptions& opt,
+                      const PlanArena& arena) {
+  NBUF_ASSERT_MSG(std::is_sorted(list.begin(), list.end(),
+                                 [&arena](const VgCand& a, const VgCand& b) {
+                                   return cand_less(a, b, arena);
+                                 }),
                   "candidate list lost the (load asc, slack desc) order");
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (opt.noise_constraints)
@@ -335,7 +343,8 @@ void expect_valid_inputs(const rct::RoutingTree& tree,
 }
 
 VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
-                  const VgOptions& opt, const util::VgStats& stats) {
+                  const VgOptions& opt, const util::VgStats& stats,
+                  const PlanArena& arena) {
   const rct::Driver& drv = tree.driver();
   VgResult result;
 
@@ -361,8 +370,8 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
         best.slack = q;
         best.noise_slack = c.noise_slack - driver_noise;
         best.noise_ok = noise_ok;
-        best.plan = collect(c.plan);
-        best.wires = collect_wires(c.plan);
+        best.plan = collect(arena, c.plan);
+        best.wires = collect_wires(arena, c.plan);
         found = true;
       }
     }

@@ -321,8 +321,7 @@ void FastVgRun::extend_wire(Lists& lists, rct::NodeId child) {
           enoise[o] = c.noise_slack[ci] - res * (cur / 2.0 + c.current[ci]);
           edhat[o] = c.dhat[ci] + wire_delay;
           eplan[o] = wi == 0 ? c.plan[ci]
-                             : arena_.wire_ref(c.plan[ci],
-                                               PlannedWire{child, wi});
+                             : arena_.wire(c.plan[ci], PlannedWire{child, wi});
         }
       }
       note_created(o);
@@ -462,7 +461,7 @@ void FastVgRun::insert_buffers_best_pred(Lists& lists, rct::NodeId v) {
         }
         target.push_back(
             b.input_cap, ch.q, 0.0, b.noise_margin, 0.0,
-            arena_.buffer_ref(view.plan[ch.idx], PlannedBuffer{v, 0.0, bid}));
+            arena_.buffer(view.plan[ch.idx], PlannedBuffer{v, 0.0, bid}));
       }
     }
   }
@@ -508,7 +507,7 @@ FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
         soa::merge_fill(sa, sb, ia_.data(), jb_.data(), m, dst);
         PlanRef* dp = dst.plan() + base;
         for (std::size_t o = 0; o < m; ++o)
-          dp[o] = arena_.merge_ref(sa.plan[ia_[o]], sb.plan[jb_[o]]);
+          dp[o] = arena_.merge(sa.plan[ia_[o]], sb.plan[jb_[o]]);
         note_created(m);
         stats_.merged += m;
       }
@@ -644,11 +643,10 @@ VgResult FastVgRun::run() {
       out.reserve(s.n);
       for (std::size_t i = 0; i < s.n; ++i)
         out.push_back(VgCand{s.load[i], s.slack[i], s.current[i],
-                             s.noise_slack[i], s.dhat[i],
-                             arena_.cell(s.plan[i])});
+                             s.noise_slack[i], s.dhat[i], s.plan[i]});
     }
   }
-  return finalize(node, tree_, opt_, stats_);
+  return finalize(node, tree_, opt_, stats_, arena_);
 }
 
 }  // namespace

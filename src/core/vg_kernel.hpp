@@ -28,7 +28,7 @@ struct VgCand {
   double noise_slack = 0.0;  // NS
   double dhat = 0.0;         // max wire Elmore delay from here to any leaf
                              // of the current stage (for slew checks)
-  const PlanCell* plan = nullptr;
+  PlanRef plan = kNullPlan;
 };
 
 using CandList = std::vector<VgCand>;
@@ -47,40 +47,37 @@ struct NodeLists {
   }
 };
 
-// Content comparison of two solution DAGs, three-way (-1/0/+1). Pointer
-// equality short-circuits shared structure (candidates in one list mostly
-// share deep prefixes); otherwise cells compare by kind, payload, then
-// predecessors. Used only to break exact (load, slack) ties in cand_less,
-// so the traversal almost never runs and never runs deep.
-inline int plan_compare(const PlanCell* a, const PlanCell* b) {
+// Content comparison of two solution DAGs of `arena`, three-way
+// (-1/0/+1). Ref equality short-circuits shared structure (candidates in
+// one list mostly share deep prefixes); otherwise cells compare by kind
+// (Buffer < Wire < Merge), payload, then predecessors — a Merge cell's
+// right branch before its left. Used only to break exact (load, slack)
+// ties in cand_less, so the traversal almost never runs and never runs
+// deep.
+inline int plan_compare(const PlanArena& arena, PlanRef a, PlanRef b) {
   if (a == b) return 0;  // same arena cell: identical content
-  if (a == nullptr) return -1;
-  if (b == nullptr) return 1;
-  if (a->kind != b->kind) return a->kind < b->kind ? -1 : 1;
-  switch (a->kind) {
-    case PlanCell::Kind::Buffer: {
-      const PlannedBuffer& pa = a->placement;
-      const PlannedBuffer& pb = b->placement;
-      if (pa.node != pb.node) return pa.node < pb.node ? -1 : 1;
-      if (pa.dist_above != pb.dist_above)
-        return pa.dist_above < pb.dist_above ? -1 : 1;
-      if (pa.type != pb.type) return pa.type < pb.type ? -1 : 1;
+  if (a == kNullPlan) return -1;
+  if (b == kNullPlan) return 1;
+  const PlanCell& ca = arena.at(a);
+  const PlanCell& cb = arena.at(b);
+  if (ca.kind != cb.kind) return ca.kind < cb.kind ? -1 : 1;
+  switch (ca.kind) {
+    case PlanCell::Kind::Buffer:  // node, dist_above, type
+      if (ca.x != cb.x) return ca.x < cb.x ? -1 : 1;
+      if (ca.dist != cb.dist) return ca.dist < cb.dist ? -1 : 1;
+      if (ca.y != cb.y) return ca.y < cb.y ? -1 : 1;
       break;
-    }
-    case PlanCell::Kind::Wire: {
-      if (a->wire.node != b->wire.node)
-        return a->wire.node < b->wire.node ? -1 : 1;
-      if (a->wire.width != b->wire.width)
-        return a->wire.width < b->wire.width ? -1 : 1;
+    case PlanCell::Kind::Wire:  // node, width
+      if (ca.x != cb.x) return ca.x < cb.x ? -1 : 1;
+      if (ca.y != cb.y) return ca.y < cb.y ? -1 : 1;
       break;
-    }
-    case PlanCell::Kind::Merge: {
-      const int right = plan_compare(a->b, b->b);
+    case PlanCell::Kind::Merge: {  // right branch
+      const int right = plan_compare(arena, ca.x, cb.x);
       if (right != 0) return right;
       break;
     }
   }
-  return plan_compare(a->a, b->a);
+  return plan_compare(arena, ca.a, cb.a);
 }
 
 // The prune order of both kernels: load ascending, slack descending on
@@ -91,19 +88,20 @@ inline int plan_compare(const PlanCell* a, const PlanCell* b) {
 // breaking Fast-vs-Reference bit-identity of the reported plans. Ties
 // prefer the more robust candidate (higher noise slack, lower coupling
 // current, lower stage delay) and fall back to plan content, which two
-// distinct candidates cannot share.
-inline bool cand_less(const VgCand& a, const VgCand& b) {
+// distinct candidates cannot share, read through the candidates' `arena`.
+inline bool cand_less(const VgCand& a, const VgCand& b,
+                      const PlanArena& arena) {
   if (a.load != b.load) return a.load < b.load;
   if (a.slack != b.slack) return a.slack > b.slack;
   if (a.noise_slack != b.noise_slack) return a.noise_slack > b.noise_slack;
   if (a.current != b.current) return a.current < b.current;
   if (a.dhat != b.dhat) return a.dhat < b.dhat;
-  return plan_compare(a.plan, b.plan) < 0;
+  return plan_compare(arena, a.plan, b.plan) < 0;
 }
 
 // cand_less over SoA lanes (fast kernel): the same total order, reading one
-// field lane at a time; plan ties resolve by content through the arena's
-// cells, exactly as the AoS form. The two-span form compares element i of
+// field lane at a time; plan ties resolve by content through the arena,
+// exactly as the AoS form. The two-span form compares element i of
 // span `a` with element j of span `b` (the in-place tail merge reads the
 // buffered tail and the prefix from different storage).
 inline bool soa_cand_less(const CandSpan& a, std::size_t i, const CandSpan& b,
@@ -114,7 +112,7 @@ inline bool soa_cand_less(const CandSpan& a, std::size_t i, const CandSpan& b,
     return a.noise_slack[i] > b.noise_slack[j];
   if (a.current[i] != b.current[j]) return a.current[i] < b.current[j];
   if (a.dhat[i] != b.dhat[j]) return a.dhat[i] < b.dhat[j];
-  return plan_compare(arena.cell(a.plan[i]), arena.cell(b.plan[j])) < 0;
+  return plan_compare(arena, a.plan[i], b.plan[j]) < 0;
 }
 
 inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
@@ -175,8 +173,10 @@ inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
 //   * a strict Pareto staircase (loads AND slacks strictly ascend) when
 //     dominance pruning is on;
 //   * no dead candidate (noise slack < 0) when noise constraints are on.
-// O(n) per call; throws std::logic_error (NBUF_ASSERT) on violation.
-void verify_cand_list(const CandList& list, const VgOptions& opt);
+// O(n) per call; throws std::logic_error (NBUF_ASSERT) on violation. The
+// arena resolves plan ties.
+void verify_cand_list(const CandList& list, const VgOptions& opt,
+                      const PlanArena& arena);
 
 // The same verification over an SoA view (fast kernel, which always prunes
 // by dominance): sorted by soa_cand_less, strict Pareto staircase, no dead
@@ -322,8 +322,10 @@ void expect_valid_inputs(const rct::RoutingTree& tree,
 
 // Driver fold (Fig. 10 Steps 2-4) and objective selection, shared verbatim
 // by both kernels so a kernel difference can only come from the DP itself.
+// The chosen plans are collected from `arena`.
 VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
-                  const VgOptions& opt, const util::VgStats& stats);
+                  const VgOptions& opt, const util::VgStats& stats,
+                  const PlanArena& arena);
 
 // Entry point of the fast kernel (vanginneken_fast.cpp); the caller has
 // checked expect_valid_inputs. Plans are built in `arena`. With a memo,

@@ -14,6 +14,7 @@
 #include "io/netfile.hpp"
 #include "netgen/netgen.hpp"
 #include "noise/devgan.hpp"
+#include "opt_parse.hpp"
 #include "util/units.hpp"
 
 int main(int argc, char** argv) {
@@ -26,9 +27,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--count" && i + 1 < argc) {
-      opt.net_count = static_cast<std::size_t>(std::stoul(argv[++i]));
+      if (!cli::parse_count(argv[++i], "--count", opt.net_count)) return 2;
     } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::stoull(argv[++i]);
+      if (!cli::parse_count64(argv[++i], "--seed", opt.seed)) return 2;
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return 2;

@@ -2,9 +2,9 @@
 //
 // std::stoul would silently wrap "--netgen -5" into a huge count and
 // std::stod would terminate the process on "--segment abc"; every numeric
-// option of nbuf_cli and nbuf_serve goes through these helpers instead, so
-// a bad value is a usage error (exit 2) with a message naming the option,
-// never a wrap or an abort.
+// option of nbuf_cli, nbuf_serve and nbuf_gen goes through these helpers
+// instead, so a bad value is a usage error (exit 2) with a message naming
+// the option, never a wrap or an abort.
 #pragma once
 
 #include <cctype>
