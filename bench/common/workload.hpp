@@ -53,8 +53,9 @@ inline std::vector<batch::BatchNet> sized_testbench(
 
 // Per-phase span timings as one JSON object, routed through the
 // MetricsRegistry ("trace.<name>.count" counters + "trace.<name>.seconds"
-// gauges) so the BENCH JSONs and `nbuf_cli --metrics` agree on the data
-// path. Renders {"<name>": {"count": N, "seconds": S}, ...}, name-sorted;
+// and ".self_seconds" gauges) so the BENCH JSONs and `nbuf_cli --metrics`
+// agree on the data path. Renders
+// {"<name>": {"count": N, "seconds": S, "self_seconds": F}, ...}, name-sorted;
 // splice into a BENCH document as the value of a "phases" key.
 inline std::string phases_json(const obs::TraceData& trace) {
   obs::MetricsRegistry reg;
@@ -72,17 +73,17 @@ inline std::string phases_json(const obs::TraceData& trace) {
       continue;
     const std::string name = c.name.substr(
         prefix.size(), c.name.size() - prefix.size() - suffix.size());
-    double seconds = 0.0;
-    const std::string gauge = std::string(prefix) + name + ".seconds";
-    for (const obs::MetricsSnapshot::GaugeRow& g : snap.gauges)
-      if (g.name == gauge) {
-        seconds = g.value;
-        break;
-      }
+    const auto gauge = [&](const char* field) {
+      const std::string key = std::string(prefix) + name + "." + field;
+      for (const obs::MetricsSnapshot::GaugeRow& g : snap.gauges)
+        if (g.name == key) return g.value;
+      return 0.0;
+    };
     j.key(name);
     j.begin_object();
     j.field("count", static_cast<std::size_t>(c.value));
-    j.field("seconds", seconds);
+    j.field("seconds", gauge("seconds"));
+    j.field("self_seconds", gauge("self_seconds"));
     j.end_object();
   }
   j.end_object();

@@ -1,11 +1,11 @@
 // figK: multi-library kernel scaling — per-node candidate work vs b.
 //
-// The naive Van Ginneken inner loop re-evaluates the noise/slew
-// predicates for every list entry once per type. The fast kernel's
-// grouped best-predecessor structure (src/core/vg_kernel.hpp) hoists
-// feasibility into one binary search per candidate and answers each type
-// query with a predicate-free scan, so the per-type overhead should stay
-// roughly flat in b. This bench measures that
+// The Van Ginneken insertion step scans every bucket once per type for
+// its best predecessor. The fast kernel (src/core/vg_kernel.hpp,
+// select_best_predecessor + fuse_buffer_tail) keeps one record per
+// (bucket, type) and folds a bucket's records into its list in one merge
+// pass, so the per-type overhead should stay roughly flat in b. This
+// bench measures that
 // claim end-to-end: the paper-shaped 500-net batch workload is optimized
 // with synthetic strength-ladder libraries of b in {1,2,4,8,16,32,64}
 // types (45% inverters, lib::make_ladder_library), fast kernel timed and
@@ -26,9 +26,8 @@
 // state is inherently ~linear in b (every ladder type is Pareto-alive, so
 // staircases hold ~b entries and the count in candidates_per_node grows
 // ~b — that is the O(bn^2)), so raw wall time also grows ~b;
-// what the best-predecessor structure guarantees is that the per-type
-// overhead on top of that state stays flat, which is exactly what the
-// normalized bound pins.
+// what the insertion step must keep flat is the per-type overhead on top
+// of that state, which is exactly what the normalized bound pins.
 #include <chrono>
 #include <cstdio>
 #include <string>

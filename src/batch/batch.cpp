@@ -23,13 +23,17 @@ void parallel_for_index(std::size_t count, std::size_t threads,
     threads = hw == 0 ? 1 : hw;
   }
   std::atomic<std::size_t> next{0};
-  // The one piece of cross-worker mutable state: the first exception any
-  // worker hit. Annotated so the thread-safety lane proves every touch is
-  // under the lock (the final read below joins first, but still locks —
+  // The one piece of cross-worker mutable state: the exception of the
+  // lowest failing index. Claims are monotone, so when any item fails every
+  // lower index has already been claimed and will finish; the lowest
+  // failure is therefore the one a serial run reports, whatever the thread
+  // count or timing. Annotated so the thread-safety lane proves every touch
+  // is under the lock (the final read below joins first, but still locks —
   // an uncontended acquire is cheaper than an analysis escape hatch).
   struct ErrorSlot {
     util::Mutex mu;
     std::exception_ptr first NBUF_GUARDED_BY(mu);
+    std::size_t index NBUF_GUARDED_BY(mu) = 0;
   } error;
   // Contract level 2: machine-check the exactly-once claim contract that
   // every determinism argument downstream (batch results, signoff reports)
@@ -46,7 +50,10 @@ void parallel_for_index(std::size_t count, std::size_t threads,
         fn(i);
       } catch (...) {
         const util::MutexLock hold(error.mu);
-        if (!error.first) error.first = std::current_exception();
+        if (!error.first || i < error.index) {
+          error.first = std::current_exception();
+          error.index = i;
+        }
         // Keep draining: other workers may be mid-item; claiming the rest
         // of the queue lets everyone finish fast.
         next.store(count, std::memory_order_relaxed);

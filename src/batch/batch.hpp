@@ -37,8 +37,9 @@ namespace nbuf::batch {
 // i in [0, count) on up to `threads` workers (0 = hardware concurrency).
 // Indices are claimed from a shared atomic counter, so any fn that writes
 // only into slot i of a pre-sized output is deterministic for every thread
-// count and schedule. The first exception any worker throws is rethrown
-// after the pool drains and joins.
+// count and schedule. If items throw, the exception of the lowest failing
+// index is rethrown after the pool drains and joins — the one a serial run
+// reports, at any thread count.
 void parallel_for_index(std::size_t count, std::size_t threads,
                         const std::function<void(std::size_t)>& fn);
 

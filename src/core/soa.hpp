@@ -12,7 +12,7 @@
 // with every lane start rounded up to the 64-byte alignment, so the sweeps
 // of core/soa_sweeps.hpp are unit-stride, branch-light, and vectorizable.
 // Blocks are recycled whole through SoAPool, so steady-state DP makes no
-// allocator calls. CandSpan is the read view the best-predecessor structure
+// allocator calls. CandSpan is the read view the best-predecessor scan
 // and the structural verifiers consume.
 #pragma once
 
@@ -76,12 +76,8 @@ class SoAList {
   [[nodiscard]] const double* dhat() const noexcept { return dhat_; }
   [[nodiscard]] const PlanRef* plan() const noexcept { return plan_; }
 
-  [[nodiscard]] CandSpan span() const noexcept { return span(size_); }
-  // The prefix view of the first n candidates (buffer insertion's read
-  // views: appends only ever push beyond a remembered prefix size).
-  [[nodiscard]] CandSpan span(std::size_t n) const noexcept {
-    NBUF_ASSERT(n <= size_);
-    return CandSpan{load_, slack_, current_, noise_slack_, dhat_, plan_, n};
+  [[nodiscard]] CandSpan span() const noexcept {
+    return CandSpan{load_, slack_, current_, noise_slack_, dhat_, plan_, size_};
   }
 
   void reserve(std::size_t cap) {

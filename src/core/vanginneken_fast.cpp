@@ -9,12 +9,13 @@
 //     both load and slack (a Pareto staircase). An unsized wire extension
 //     maps every candidate with the same monotone affine update, so the
 //     sorted order survives; the Van Ginneken two-list merge emits loads in
-//     ascending order by construction; and buffer insertion appends a small
-//     sorted tail that one stable merge pass folds back in. Pruning is
-//     therefore a single linear scan (dead-candidate removal, dominance
-//     filter, and compaction fused); a sort runs only when the order is
-//     genuinely broken — the wire-sizing fork path, where one candidate
-//     forks into one variant per width (Li & Shi, PAPERS.md).
+//     ascending order by construction; and buffer insertion's fresh
+//     candidates (at most one per type and bucket) sort among themselves
+//     and fold in by one merge pass. Pruning is therefore a single linear
+//     scan (dead-candidate removal, dominance filter, and compaction
+//     fused); a sort runs only when the order is genuinely broken — the
+//     wire-sizing fork path, where one candidate forks into one variant per
+//     width (Li & Shi, PAPERS.md).
 //
 //  2. Lazy wire offsets. An unsized wire extension is the same affine map
 //     for every candidate of every one of the 2*(max_buffers+1) lists of a
@@ -24,18 +25,22 @@
 //     results stay bit-identical, but the separate write pass and the sort
 //     disappear.
 //
-//  3. Read views instead of snapshots. Buffer insertion must read only
-//     pre-insertion candidates (one buffer per node). The seed deep-copies
-//     all lists; since insertions only ever append, remembering each
-//     bucket's pre-insertion size and scanning that prefix is equivalent
-//     and copies nothing.
+//  3. Select, collect, fuse. Buffer insertion must read only
+//     pre-insertion candidates (one buffer per node); the reference kernel
+//     deep-copies all lists. Here every (bucket, type) best predecessor is
+//     selected first and only recorded — a 32-byte BufferRecord in its
+//     target bucket's tail, with no plan cell and no list append — so the
+//     lists themselves are the snapshot. Then one forward pass per touched
+//     bucket (fuse_buffer_tail) merges the sorted tail into the staircase,
+//     drops records dominated at birth, prunes, and allocates plan cells
+//     for the surviving records only.
 //
 //  4. Structure-of-arrays lanes. Candidate lists live in SoA blocks
 //     (core/soa.hpp): one contiguous aligned lane per DP field plus a
 //     32-bit plan-ref lane. The hot loops — the fused dead+Pareto prune,
 //     the wire-offset flush, and the bucket-major merge — stream one lane
 //     at a time as the branch-light sweeps of core/soa_sweeps.hpp.
-//     Order-dependent work — tail sorts, cascaded run merges — runs over
+//     Order-dependent work — full sorts, cascaded run merges — runs over
 //     32-bit index permutations with ONE gather per lane at the end instead
 //     of repeatedly moving 48-byte structs.
 //
@@ -92,13 +97,18 @@ class FastVgRun {
         opt_(opt),
         sizing_(!opt.wire_widths.empty()),
         arena_(arena),
-        memo_(memo),
-        type_order_(TypeOrder::make(lib)) {
-    for (auto& sizes : view_sizes_) sizes.resize(opt_.max_buffers + 1, 0);
+        memo_(memo) {
+    for (auto& tails : tails_) tails.resize(opt_.max_buffers + 1);
     min_cost_ = 1;
     if (!opt_.buffer_costs.empty())
       min_cost_ = *std::min_element(opt_.buffer_costs.begin(),
                                     opt_.buffer_costs.end());
+    // Resistance is the only type parameter the feasibility predicates
+    // read, and both are monotone in it: a view entry infeasible for the
+    // lowest-R type is infeasible for every type.
+    for (lib::BufferId id : lib_.ids())
+      if (lib_.at(id).resistance < lib_.at(min_r_type_).resistance)
+        min_r_type_ = id;
     stats_.lib_types = lib_.size();
   }
 
@@ -119,14 +129,12 @@ class FastVgRun {
   void flush(Lists& lists);
   void extend_wire(Lists& lists, rct::NodeId child);
   void insert_buffers(Lists& lists, rct::NodeId v);
-  void insert_buffers_best_pred(Lists& lists, rct::NodeId v);
   Lists merge(Lists l, Lists r);
 
   void apply_wire_and_prune(SoAList& list, const rct::Wire& w);
   void prune(SoAList& list, bool known_sorted);
   void sort_list(SoAList& list);
   void merge_runs(SoAList& list);
-  void merge_tail_and_prune(SoAList& list, std::size_t prefix);
   void release_lists(Lists& lists);
 
   [[nodiscard]] bool list_is_sorted(const SoAList& list) const {
@@ -148,17 +156,10 @@ class FastVgRun {
   std::vector<std::uint32_t> perm_;       // index-permutation scratch
   std::vector<std::uint32_t> ia_, jb_;    // merge pair indices
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
-  // Pre-insertion bucket sizes of the node currently in insert_buffers:
-  // the read views that replace the seed kernel's NodeLists deep copy.
-  std::array<std::vector<std::size_t>, 2> view_sizes_;
-  // Best-predecessor machinery: the resistance-descending type walk order,
-  // the per-bucket feasibility groups, and each type's chosen predecessor
-  // for the bucket currently being processed.
-  TypeOrder type_order_;
-  BestPredecessors bp_;
-  std::vector<BestPredecessors::Choice> selected_;  // by type walk position
-  std::vector<BestPredecessors::Choice> chosen_;    // by library id
+  // insert_buffers' fresh candidates, [phase][count] of their target.
+  std::array<std::vector<std::vector<BufferRecord>>, 2> tails_;
   std::size_t min_cost_ = 1;
+  lib::BufferId min_r_type_{0};
   util::VgStats stats_;
 };
 
@@ -332,47 +333,11 @@ void FastVgRun::extend_wire(Lists& lists, rct::NodeId child) {
   }
 }
 
-// Folds the freshly appended buffer candidates (a small sorted-after-sort
-// tail — at most one per library type) back into the sorted prefix without
-// rewriting the list: the tail is buffered into the scratch block and
-// merged backward in place. No full sort, no allocation, and prefix
-// elements below the lowest tail element never move.
-void FastVgRun::merge_tail_and_prune(SoAList& list, std::size_t prefix) {
-  const std::size_t n = list.size();
-  const std::size_t t = n - prefix;
-  const CandSpan s = list.span();
-  perm_.resize(t);
-  std::iota(perm_.begin(), perm_.end(), static_cast<std::uint32_t>(prefix));
-  std::sort(perm_.begin(), perm_.end(),  // nbuf-lint: allow(sort)
-            [&](std::uint32_t x, std::uint32_t y) {
-              return soa_cand_less(s, x, y, arena_);
-            });
-  scratch_.clear();
-  scratch_.reserve(t);
-  scratch_.set_size(t);
-  for (std::size_t o = 0; o < t; ++o) copy_elem(scratch_, o, list, perm_[o]);
-  // Backward in-place merge of the sorted prefix with the buffered tail:
-  // always emit the largest remaining element at the back. Writes stay
-  // strictly above the unread prefix (w = i + j > i), and once the tail is
-  // exhausted the remaining prefix is already in place. An exact total-
-  // order tie means identical candidate content, so either emission order
-  // reproduces the std::merge sequence.
-  const CandSpan tail = scratch_.span();
-  std::size_t i = prefix, j = t, w = n;
-  while (j > 0) {
-    if (i > 0 && soa_cand_less(tail, j - 1, s, i - 1, arena_)) {
-      --w;
-      --i;
-      copy_elem(list, w, list, i);
-    } else {
-      --w;
-      --j;
-      copy_elem(list, w, scratch_, j);
-    }
-  }
-  prune(list, /*known_sorted=*/true);
-}
-
+// Fig. 11 Step 5. Every type reads only unbuffered-at-v candidates (one
+// buffer per node), and nothing is appended until every selection is made,
+// so the lists themselves are the reference kernel's pre-insertion
+// snapshot. Bucket-major: each (phase, count) view is scanned once per type
+// while its lanes are hot.
 void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
   flush(lists);
   // Offset-flush invariant: buffer insertion must read fully materialized
@@ -380,89 +345,62 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
   NBUF_ASSERT_MSG(lists.pending.empty(),
                   "lazy wire offsets must be flushed before insert_buffers");
   NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.node.total_size());
-  // Read views: every type considers only unbuffered-at-v candidates,
-  // enforcing one buffer per node (Step 5). Appends only ever push beyond
-  // each bucket's pre-insertion size, so scanning that prefix reads exactly
-  // what the seed kernel's full NodeLists snapshot held — without the copy.
-  for (int phase = 0; phase < 2; ++phase) {
-    for (std::size_t k = 0; k <= opt_.max_buffers; ++k) {
-      const std::size_t n = lists.node.by_phase[phase][k].size();
-      view_sizes_[phase][k] = n;
-      stats_.snapshot_cands_avoided += n;
+  stats_.snapshot_cands_avoided += lists.node.total_size();
+  const std::size_t bucket_count = opt_.max_buffers + 1;
+  const auto cost_of = [&](lib::BufferId id) -> std::size_t {
+    return opt_.buffer_costs.empty() ? 1 : opt_.buffer_costs[id.value()];
+  };
+  for (int in_phase = 0; in_phase < 2; ++in_phase) {
+    const auto& buckets = lists.node.by_phase[in_phase];
+    for (std::size_t k = 0; k + min_cost_ < bucket_count; ++k) {
+      const CandSpan view = buckets[k].span();
+      if (view.n == 0) continue;
+      ++stats_.bp_prune_calls;
+      bool killed_booked = false;
+      for (lib::BufferId id : lib_.ids()) {
+        // A type whose target bucket overflows the count cap is never
+        // evaluated, as in the reference loop.
+        if (k + cost_of(id) >= bucket_count) continue;
+        const lib::BufferType& b = lib_.at(id);
+        const BestPredecessor best = select_best_predecessor(
+            view, b, opt_.noise_constraints, opt_.max_slew);
+        if (id == min_r_type_) {
+          stats_.bp_candidates_killed += best.infeasible;
+          killed_booked = true;
+        }
+        if (best.idx == BestPredecessor::kNone) continue;
+        note_created(1);
+        const int out_phase = b.inverting ? 1 - in_phase : in_phase;
+        tails_[out_phase][k + cost_of(id)].push_back(BufferRecord{
+            b.input_cap, best.q, b.noise_margin, view.plan[best.idx], id});
+      }
+      if (!killed_booked)
+        stats_.bp_candidates_killed +=
+            select_best_predecessor(view, lib_.at(min_r_type_),
+                                    opt_.noise_constraints, opt_.max_slew)
+                .infeasible;
     }
   }
-  insert_buffers_best_pred(lists, v);
-  const std::size_t bucket_count = opt_.max_buffers + 1;
   for (int phase = 0; phase < 2; ++phase) {
     for (std::size_t k = 0; k < bucket_count; ++k) {
+      std::vector<BufferRecord>& tail = tails_[phase][k];
+      if (tail.empty()) continue;
       SoAList& list = lists.node.by_phase[phase][k];
-      const std::size_t prefix = view_sizes_[phase][k];
-      if (list.size() == prefix) continue;  // untouched: still Pareto-sorted
-      merge_tail_and_prune(list, prefix);
-    }
-  }
-}
-
-// Grouped insertion: bucket-major so each bucket's
-// feasibility groups are built once (one binary search per candidate) and
-// every type's best predecessor comes out of one predicate-free
-// candidate-major pass (select_all). New candidates are buffered per type
-// and appended in library-id order:
-// the reference kernel emits types in that order and the tail sort is not
-// stable, so the append order is part of the bit-identity contract.
-void FastVgRun::insert_buffers_best_pred(Lists& lists, rct::NodeId v) {
-  const std::size_t bucket_count = opt_.max_buffers + 1;
-  const std::size_t type_count = lib_.size();
-  for (int in_phase = 0; in_phase < 2; ++in_phase) {
-    auto& buckets = lists.node.by_phase[in_phase];
-    for (std::size_t k = 0; k + min_cost_ < bucket_count; ++k) {
-      const std::size_t view_n = view_sizes_[in_phase][k];
-      if (view_n == 0) continue;
-      // The view's lanes stay valid through the emit loop: every append
-      // lands in bucket k + cost (cost >= 1), never in bucket k itself.
-      const CandSpan view = buckets[k].span(view_n);
-      bp_.prepare(view, opt_, lib_, type_order_);
-      ++stats_.bp_prune_calls;
-      stats_.bp_candidates_killed += bp_.killed();
-      bp_.select_all(lib_, type_order_, selected_);
-      chosen_.assign(type_count, {});
-      for (std::size_t pos = 0; pos < type_count; ++pos) {
-        const lib::BufferId bid = type_order_.ids[pos];
-        const std::size_t cost =
-            opt_.buffer_costs.empty() ? 1 : opt_.buffer_costs[bid.value()];
-        // A choice whose target bucket overflows the count cap is simply
-        // discarded — the reference loop never evaluates those types.
-        if (k + cost >= bucket_count) continue;
-        chosen_[bid.value()] = selected_[pos];
-      }
-      for (std::size_t t = 0; t < type_count; ++t) {
-        const BestPredecessors::Choice& ch = chosen_[t];
-        if (ch.idx == BestPredecessors::Choice::kNone) continue;
-        const lib::BufferId bid{
-            static_cast<lib::BufferId::underlying_type>(t)};
-        const lib::BufferType& b = lib_.at(bid);
-        const std::size_t cost =
-            opt_.buffer_costs.empty() ? 1 : opt_.buffer_costs[t];
-        const int out_phase = b.inverting ? 1 - in_phase : in_phase;
-        note_created(1);
-        // Dominated at birth: the target bucket's pre-insertion staircase
-        // (its read view — exactly what the reference kernel snapshots)
-        // guarantees the next merge_tail_and_prune would delete this
-        // candidate, so book the generate+prune pair and skip the arena
-        // node, the append, and the merge churn. The reference kernel
-        // applies the same predicate against the same view, keeping the
-        // kernels bit-identical.
-        SoAList& target = lists.node.by_phase[out_phase][k + cost];
-        if (dominated_by_staircase(target.load(), target.slack(),
-                                   view_sizes_[out_phase][k + cost],
-                                   b.input_cap, ch.q)) {
-          ++stats_.pruned_inferior;
-          continue;
-        }
-        target.push_back(
-            b.input_cap, ch.q, 0.0, b.noise_margin, 0.0,
-            arena_.buffer(view.plan[ch.idx], PlannedBuffer{v, 0.0, bid}));
-      }
+      const FuseCounts c =
+          fuse_buffer_tail(list, tail.data(), tail.size(), v,
+                           opt_.noise_constraints, arena_, scratch_);
+      tail.clear();
+      stats_.pruned_inferior += c.born_dominated;
+      if (c.passed == 0) continue;  // untouched: still Pareto-sorted
+      // The pass ends in the prune of a bucket that gained candidates.
+      ++stats_.prune_calls;
+      ++stats_.prune_sorts_skipped;
+      stats_.pruned_infeasible += c.dead;
+      stats_.pruned_inferior += c.inferior;
+      if (c.dead + c.inferior == 0) ++stats_.soa_prunes_no_move;
+      stats_.peak_list_size = std::max(stats_.peak_list_size, list.size());
+      if (verify_lists_enabled(opt_))
+        verify_cand_list(list.span(), opt_, arena_);
     }
   }
 }
@@ -649,144 +587,148 @@ VgResult FastVgRun::run() {
   return finalize(node, tree_, opt_, stats_, arena_);
 }
 
+// The reference kernel's selection loop for one type over one view, with
+// the predicates it can skip resolved at compile time: without noise
+// constraints the noise test is off, and with max_slew = +inf (or NaN) the
+// slew comparison is false for every entry.
+template <bool kNoise, bool kSlew>
+BestPredecessor scan_view(const CandSpan& view, const lib::BufferType& b,
+                          double max_slew) {
+  BestPredecessor best;
+  double best_q = -std::numeric_limits<double>::infinity();
+  const double r = b.resistance;
+  const double d = b.intrinsic_delay;
+  for (std::size_t i = 0; i < view.n; ++i) {
+    if (kNoise && r * view.current[i] > view.noise_slack[i]) {
+      ++best.infeasible;
+      continue;
+    }
+    if (kSlew &&
+        elmore::kSlewFactor * (r * view.load[i] + view.dhat[i]) > max_slew) {
+      ++best.infeasible;
+      continue;
+    }
+    const double q = view.slack[i] - d - r * view.load[i];
+    if (q > best_q) {
+      best_q = q;
+      best.idx = i;
+    }
+  }
+  best.q = best_q;
+  return best;
+}
+
+// cand_less between two fresh buffers at the same node (see
+// fuse_buffer_tail). The type tie-break is total: one record per type.
+bool record_less(const BufferRecord& a, const BufferRecord& b) {
+  if (a.input_cap != b.input_cap) return a.input_cap < b.input_cap;
+  if (a.q != b.q) return a.q > b.q;
+  if (a.noise_margin != b.noise_margin) return a.noise_margin > b.noise_margin;
+  return a.type.value() < b.type.value();
+}
+
 }  // namespace
 
-TypeOrder TypeOrder::make(const lib::BufferLibrary& lib) {
-  TypeOrder order;
-  order.ids = lib.ids();
-  // Resistance descending; stable so equal-R types keep library-id order
-  // (their feasibility predicates are then interchangeable).
-  std::stable_sort(order.ids.begin(), order.ids.end(),
-                   [&lib](lib::BufferId a, lib::BufferId b) {
-                     return lib.at(a).resistance > lib.at(b).resistance;
-                   });
-  return order;
+BestPredecessor select_best_predecessor(const CandSpan& view,
+                                        const lib::BufferType& b,
+                                        bool noise_constraints,
+                                        double max_slew) {
+  const bool slew = max_slew < std::numeric_limits<double>::infinity();
+  if (noise_constraints)
+    return slew ? scan_view<true, true>(view, b, max_slew)
+                : scan_view<true, false>(view, b, max_slew);
+  return slew ? scan_view<false, true>(view, b, max_slew)
+              : scan_view<false, false>(view, b, max_slew);
 }
 
-void BestPredecessors::prepare(const CandSpan& view, const VgOptions& opt,
-                               const lib::BufferLibrary& lib,
-                               const TypeOrder& order) {
-  view_ = view;
-  groups_.clear();
-  killed_ = 0;
-  const std::size_t n = view.n;
-  const std::size_t m = order.ids.size();
-  const bool noise = opt.noise_constraints;
-  const bool slew = opt.max_slew < std::numeric_limits<double>::infinity();
-  if (!noise && !slew) {
-    // Unconstrained bucket: every type is feasible for every candidate
-    // (tmin == 0 across the board), so the whole view is one group in
-    // index order and the permutation — the identity — is never
-    // materialized. select_all detects this shape and reads the lanes
-    // directly.
-    if (n > 0) groups_.push_back(Group{0, 0, n});
-    return;
-  }
-  // Feasibility of inserting the type at walk position `pos` on top of
-  // candidate i, with the kernels' exact threshold comparisons (never
-  // rearranged: the binary search must agree bit-for-bit with the naive
-  // scan's skips).
-  const auto feasible = [&](std::size_t i, std::size_t pos) {
-    const double r = lib.at(order.ids[pos]).resistance;
-    if (noise && r * view.current[i] > view.noise_slack[i]) return false;
-    return !(elmore::kSlewFactor * (r * view.load[i] + view.dhat[i]) >
-             opt.max_slew);
-  };
-  tmin_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (feasible(i, 0)) continue;  // the common case: tmin stays 0
-    // Both thresholds are products monotone in R under IEEE rounding, so
-    // along the R-descending walk order the feasible types form a suffix:
-    // binary-search its first position (m = feasible for no type).
-    std::size_t lo = 1, hi = m;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (feasible(i, mid)) {
-        hi = mid;
+FuseCounts fuse_buffer_tail(SoAList& list, BufferRecord* recs, std::size_t t,
+                            rct::NodeId v, bool noise_constraints,
+                            PlanArena& arena, SoAList& scratch) {
+  std::sort(recs, recs + t, record_less);  // nbuf-lint: allow(sort)
+  FuseCounts c;
+  const CandSpan in = list.span();
+  const std::size_t n = in.n;
+  scratch.clear();
+  scratch.reserve(n + t);
+  scratch.set_size(n + t);
+  double* load = scratch.load();
+  double* slack = scratch.slack();
+  double* current = scratch.current();
+  double* noise_slack = scratch.noise_slack();
+  double* dhat = scratch.dhat();
+  PlanRef* plan = scratch.plan();
+  // The prune's running state over the merged sequence (soa::prune_sweep).
+  double best = -std::numeric_limits<double>::infinity();
+  std::size_t i = 0;  // next list entry to merge
+  std::size_t o = 0;  // next output slot
+  // Emits list entries [i, end) through the prune. The list is a pruned
+  // staircase (no dead entry, slacks strictly ascending), so once one entry
+  // of the run survives, every later one does: the records merged so far
+  // can only kill a prefix of the run, and the rest moves lane by lane.
+  const auto take_run = [&](std::size_t end) {
+    for (; i < end; ++i) {
+      if (noise_constraints && !(in.noise_slack[i] >= 0.0)) {
+        ++c.dead;
+      } else if (in.slack[i] <= best) {
+        ++c.inferior;
       } else {
-        lo = mid + 1;
+        break;
       }
     }
-    tmin_[i] = lo;
-  }
-  // Counting-bucket the candidates by first feasible type. Each group is a
-  // subsequence of the bucket's Pareto staircase — itself a staircase — so
-  // iterating candidates in index order fills every group in index order.
-  counts_.assign(m + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++counts_[tmin_[i]];
-  std::size_t offset = 0;
-  for (std::size_t t = 0; t <= m; ++t) {
-    const std::size_t c = counts_[t];
-    counts_[t] = offset;
-    offset += c;
-  }
-  sorted_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) sorted_[counts_[tmin_[i]]++] = i;
-  // counts_[t] now holds the END of group t's slice; group t's candidates
-  // sit in sorted_[counts_[t-1], counts_[t]), index ascending (the counting
-  // sort is stable). Record every nonempty group's slice; t == m means
-  // feasible for no type — those candidates are dead and never scanned.
-  std::size_t begin = 0;
-  for (std::size_t t = 0; t < m; ++t) {
-    const std::size_t end = counts_[t];
-    if (end == begin) continue;
-    groups_.push_back(Group{t, begin, end});
-    begin = end;
-  }
-  killed_ = n - begin;
-}
-
-void BestPredecessors::select_all(const lib::BufferLibrary& lib,
-                                  const TypeOrder& order,
-                                  std::vector<Choice>& out) {
-  const std::size_t m = order.ids.size();
-  res_.resize(m);
-  delay_.resize(m);
-  for (std::size_t t = 0; t < m; ++t) {
-    const lib::BufferType& b = lib.at(order.ids[t]);
-    res_[t] = b.resistance;
-    delay_[t] = b.intrinsic_delay;
-  }
-  // Accumulators mirror the reference scan's start state: q must beat
-  // -inf STRICTLY before an index is recorded, so a candidate whose q is
-  // -inf (or NaN) never wins — exactly as in the naive loop.
-  best_q_.assign(m, -std::numeric_limits<double>::infinity());
-  best_i_.assign(m, Choice::kNone);
-  // Candidate-major: one pass over the grouped permutation, each
-  // candidate's lanes loaded once and folded into the accumulator of
-  // every type in its feasible suffix. The update keeps the minimum index
-  // among bit-equal q maxima — the reference's first-wins choice restated
-  // order-independently — because indices interleave across groups here.
-  const auto fold = [this, m](std::size_t idx, std::size_t t0) {
-    const double sl = view_.slack[idx];
-    const double ld = view_.load[idx];
-    for (std::size_t t = t0; t < m; ++t) {
-      const double q = sl - delay_[t] - res_[t] * ld;
-      if (q > best_q_[t] || (q == best_q_[t] &&
-                             best_i_[t] != Choice::kNone &&
-                             idx < best_i_[t])) {
-        best_q_[t] = q;
-        best_i_[t] = idx;
-      }
-    }
+    if (i == end) return;
+    const std::size_t m = end - i;
+    std::copy_n(in.load + i, m, load + o);
+    std::copy_n(in.slack + i, m, slack + o);
+    std::copy_n(in.current + i, m, current + o);
+    std::copy_n(in.noise_slack + i, m, noise_slack + o);
+    std::copy_n(in.dhat + i, m, dhat + o);
+    std::copy_n(in.plan + i, m, plan + o);
+    o += m;
+    best = in.slack[end - 1];
+    i = end;
   };
-  // One all-feasible group in index order means the permutation is the
-  // identity (prepare's unconstrained fast path never even builds it):
-  // walk the lanes directly, in hardware-prefetch order.
-  if (killed_ == 0 && groups_.size() == 1 && groups_[0].first_type == 0) {
-    for (std::size_t idx = groups_[0].begin; idx < groups_[0].end; ++idx)
-      fold(idx, 0);
-  } else {
-    for (const Group& g : groups_)
-      for (std::size_t s = g.begin; s < g.end; ++s)
-        fold(sorted_[s], g.first_type);
+  std::size_t dom = 0;  // first list entry with load > the record's
+  for (std::size_t r = 0; r < t; ++r) {
+    const BufferRecord& rec = recs[r];
+    // Dominated at birth: the last entry with load <= input_cap is the
+    // only possible dominator on a staircase (dominated_by_staircase).
+    while (dom < n && in.load[dom] <= rec.input_cap) ++dom;
+    if (dom > 0 && in.slack[dom - 1] >= rec.q) {
+      ++c.born_dominated;
+      continue;
+    }
+    ++c.passed;
+    // List entries that precede the record in cand_less. A record that
+    // passed the at-birth test never ties a list entry in (load, slack),
+    // so those two fields decide.
+    std::size_t end = i;
+    while (end < n && !(in.load[end] != rec.input_cap
+                            ? rec.input_cap < in.load[end]
+                            : rec.q > in.slack[end]))
+      ++end;
+    take_run(end);
+    if (noise_constraints && !(rec.noise_margin >= 0.0)) {
+      ++c.dead;
+      continue;
+    }
+    if (rec.q <= best) {
+      ++c.inferior;
+      continue;
+    }
+    best = rec.q;
+    load[o] = rec.input_cap;
+    slack[o] = rec.q;
+    current[o] = 0.0;
+    noise_slack[o] = rec.noise_margin;
+    dhat[o] = 0.0;  // restoring gate: a fresh stage begins
+    plan[o] = arena.buffer(rec.pred, PlannedBuffer{v, 0.0, rec.type});
+    ++o;
   }
-  out.assign(m, Choice{});
-  for (std::size_t t = 0; t < m; ++t) {
-    if (best_i_[t] == Choice::kNone) continue;
-    out[t].idx = best_i_[t];
-    out[t].q = best_q_[t];
-  }
+  if (c.passed == 0) return c;
+  take_run(n);
+  scratch.set_size(o);
+  list.swap(scratch);
+  return c;
 }
 
 VgResult run_fast_kernel(const rct::RoutingTree& tree,

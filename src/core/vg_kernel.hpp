@@ -125,8 +125,9 @@ inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
 // Such a candidate is removed as inferior by the very next prune no matter
 // what else reaches that bucket (its dominator — or whatever pruned the
 // dominator — keeps the running best slack at or above `slack` when the
-// scan arrives), so both kernels skip materializing it and book it as
-// generated-then-pruned directly. A staircase has strictly increasing
+// scan arrives), so the reference kernel skips materializing it and books
+// it as generated-then-pruned directly (the fast kernel applies the same
+// rule inside fuse_buffer_tail's merge). A staircase has strictly increasing
 // loads AND slacks, so the only possible dominator is the last entry with
 // load <= `load`; one binary search decides. Only valid under
 // VgOptions::prune_candidates — without dominance pruning nothing may be
@@ -144,24 +145,6 @@ inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
     }
   }
   return lo > 0 && view[lo - 1].slack >= slack;
-}
-
-// Lane form of the same dominance test, for the fast kernel's SoA lists:
-// the staircase view is the first `n` entries of the load and slack lanes.
-[[nodiscard]] inline bool dominated_by_staircase(const double* loads,
-                                                 const double* slacks,
-                                                 std::size_t n, double load,
-                                                 double slack) {
-  std::size_t lo = 0, hi = n;  // lower_bound: first entry with load > `load`
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (loads[mid] <= load) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo > 0 && slacks[lo - 1] >= slack;
 }
 
 // Full structural verification of one post-prune candidate list — the
@@ -191,96 +174,66 @@ inline bool verify_lists_enabled(const VgOptions& opt) {
   return NBUF_STRUCTURAL_CHECKS != 0 || opt.check_invariants;
 }
 
-// Buffer-type walk order of the best-predecessor structure: type positions
-// sorted by output resistance descending (ties keep id order). Built once
-// per DP run; BestPredecessors::select must be queried in this order so
-// each candidate's feasible types form a suffix of the walk and group
-// activation only ever grows.
-struct TypeOrder {
-  std::vector<lib::BufferId> ids;  // position -> library id
-
-  [[nodiscard]] static TypeOrder make(const lib::BufferLibrary& lib);
-};
-
-// Best-predecessor selection of the multi-type insertion step. For buffer
-// type t with output resistance R the best predecessor in a bucket
-// maximizes q = s − D_t − R·C over the bucket's candidates, first index
-// wins exact ties — the reference kernel's naive scan. prepare() hoists
-// everything about that scan that is bit-exactly precomputable: with
-// noise/slew constraints on, each candidate's feasible types form a SUFFIX
-// of the R-descending walk order (both thresholds are products monotone in
-// R under IEEE rounding), so one binary search per candidate finds its
-// first feasible position and a counting sort groups candidates by it.
-// Candidates feasible for no type are dropped outright (killed()).
-// select_all() then answers EVERY type's query in one candidate-major
-// pass: each candidate's lanes are read once and update one accumulator
-// per type in its feasible suffix — no per-candidate predicate ever runs
-// again, no per-type re-walk of the staircase, and the accumulator update
-// is branch-light (the running best changes only O(log m) times per type
-// on typical staircases).
+// The fast kernel's buffer insertion (Fig. 11 Step 5) in two steps, each
+// bit-identical to the reference kernel's insert_buffers + prune:
 //
-// An earlier version of this structure also kept, per group, the upper
-// convex hull of the (load, slack) points and answered queries by a
-// monotone pointer walk — O(m + b) per bucket instead of the scan's
-// O(b·m). In exact arithmetic the argmax always lies on that hull and the
-// walk's first-of-plateau stop reproduces the scan's first-wins tie-break.
-// Under IEEE rounding it does not: two predecessors' q values can round to
-// the SAME bits while only one of them sits on the hull (or while the
-// pointer already passed the earlier one), and the scan then keeps a
-// candidate the walk cannot see — a real plan divergence found by the
-// tests/test_soa_kernel.cpp differential fuzz (DelayOpt, 64-type library:
-// bit-equal q, different predecessor, different final plan). The walk was
-// therefore retired: select_all() evaluates the reference's exact q
-// expression for every feasible (candidate, type) pair and keeps, per
-// type, the minimum index among bit-equal maxima. That is the reference's
-// first-wins result restated order-independently — so the candidate-major
-// visit order (groups back to back, indices interleaving across groups)
-// cannot change any choice — and it costs the same O(b·m) element visits
-// as the reference scan, just arranged so each candidate's lanes are
-// loaded once instead of once per type.
-class BestPredecessors {
- public:
-  // Builds the structure over the candidates of `view` (an SoA lane view,
-  // SoAList::span), which must form a pruned Pareto staircase in cand_less
-  // order. The view's lanes must stay valid until the next prepare().
-  void prepare(const CandSpan& view, const VgOptions& opt,
-               const lib::BufferLibrary& lib, const TypeOrder& order);
-
-  struct Choice {
-    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::size_t idx = kNone;  // best predecessor's index into the prepared
-                              // view; kNone if none is feasible
-    double q = 0.0;           // its resulting slack for this type
-  };
-  // Fills `out[pos]` with the candidate the naive scan would pick for the
-  // type at walk position `pos`, for every position at once (one
-  // candidate-major pass; out is sized to the walk length).
-  void select_all(const lib::BufferLibrary& lib, const TypeOrder& order,
-                  std::vector<Choice>& out);
-
-  // Candidates of the last prepare() that can never be any type's best
-  // predecessor: infeasible (noise/slew) for every type in the library.
-  [[nodiscard]] std::size_t killed() const noexcept { return killed_; }
-
- private:
-  struct Group {
-    std::size_t first_type = 0;  // t_min shared by the group's candidates
-    std::size_t begin = 0;       // [begin, end) into sorted_
-    std::size_t end = 0;
-  };
-
-  CandSpan view_;               // lanes of the last prepare()
-  std::vector<Group> groups_;   // ascending first_type
-  std::size_t killed_ = 0;
-  std::vector<std::size_t> tmin_;    // scratch: per-candidate first type
-  std::vector<std::size_t> counts_;  // scratch: counting-sort offsets
-  std::vector<std::size_t> sorted_;  // candidates grouped by tmin, index
-                                     // ascending within each group
-  std::vector<double> res_;          // per-walk-pos output resistance
-  std::vector<double> delay_;        // per-walk-pos intrinsic delay
-  std::vector<double> best_q_;       // select_all accumulators
-  std::vector<std::size_t> best_i_;  // (running q max / its min index)
+//  * Select. For one (phase, count) bucket view and one buffer type, the
+//    best predecessor maximizes q = s - D - R*C over the feasible view
+//    entries; the reference loop verbatim (noise and slew predicates, the
+//    same q expression, a strict `>`), so the first index wins exact ties.
+//  * Fuse. Each chosen predecessor becomes a BufferRecord in the tail of
+//    its target bucket. fuse_buffer_tail folds that tail into the target's
+//    pre-insertion staircase and prunes the result in one forward pass.
+//
+// Select is a plain scan on purpose: an upper-convex-hull query over the
+// (load, slack) points (the Li-Shi O(bn^2) idea, PAPERS.md) is not exact
+// under IEEE rounding — two predecessors' q can round to the same bits
+// while only one lies on the hull — and tests/test_soa_kernel.cpp's
+// differential fuzz found a plan divergence of that shape
+// (docs/library.md).
+struct BestPredecessor {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t idx = kNone;     // index into the view; kNone if none feasible
+  double q = 0.0;              // its resulting slack
+  std::size_t infeasible = 0;  // view entries failing a predicate
 };
+
+[[nodiscard]] BestPredecessor select_best_predecessor(
+    const CandSpan& view, const lib::BufferType& b, bool noise_constraints,
+    double max_slew);
+
+// A fresh buffer candidate before it enters its target list: load
+// input_cap, slack q, noise slack noise_margin, current and dhat 0, plan
+// Buffer{node, 0, type} over `pred`. No plan cell exists yet.
+struct BufferRecord {
+  double input_cap = 0.0;
+  double q = 0.0;
+  double noise_margin = 0.0;
+  PlanRef pred = kNullPlan;
+  lib::BufferId type;
+};
+
+struct FuseCounts {
+  std::size_t born_dominated = 0;  // records a view entry dominates
+  std::size_t passed = 0;          // records that entered the merge
+  std::size_t dead = 0;            // the prune's noise-dead removals
+  std::size_t inferior = 0;        // the prune's dominance removals
+};
+
+// Folds the records [recs, recs + t) — at most one per type, all inserted
+// at node v — into `list`, a pruned staircase, exactly as the reference
+// kernel does: drop records dominated at birth by a list entry (load <=
+// input_cap and slack >= q, ties included), append the rest, sort by
+// cand_less, prune. Among fresh buffers at one node cand_less is (load
+// asc, q desc, noise_margin desc, type asc), because current and dhat are
+// 0 and plan_compare differs first in the type; so the records sort alone,
+// and one forward merge with the dead and running-best tests inline
+// replaces append, sort and prune. Only surviving records get a plan cell
+// in `arena`. When no record passes, `list` is left untouched; otherwise
+// the result is built in `scratch` and swapped in. `recs` is reordered.
+FuseCounts fuse_buffer_tail(SoAList& list, BufferRecord* recs, std::size_t t,
+                            rct::NodeId v, bool noise_constraints,
+                            PlanArena& arena, SoAList& scratch);
 
 // Per-node memo of the fast kernel, the engine of core::IncrementalContext:
 // nodes[v] holds the lists process(v) returned, every lazy wire flushed —

@@ -104,6 +104,7 @@ void record_trace(MetricsRegistry& reg, const TraceData& data) {
   for (const PhaseRow& row : phase_breakdown(data)) {
     reg.counter("trace." + row.name + ".count").add(row.count);
     reg.gauge("trace." + row.name + ".seconds").add(row.seconds);
+    reg.gauge("trace." + row.name + ".self_seconds").add(row.self_seconds);
   }
   for (const ThreadTrace& t : data.threads) {
     for (const TraceEvent& e : t.events) {

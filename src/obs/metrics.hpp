@@ -160,7 +160,8 @@ class MetricsRegistry {
 void record_vg_stats(MetricsRegistry& reg, const util::VgStats& stats);
 
 // Trace-derived aggregates: per span name, "trace.<name>.count" counter,
-// "trace.<name>.seconds" gauge (inclusive), and — for tagged spans — a
+// "trace.<name>.seconds" gauge (inclusive), "trace.<name>.self_seconds"
+// gauge (minus direct child spans), and — for tagged spans — a
 // "trace.<name>.tag" histogram of the nonnegative tag values (e.g. the
 // candidate-list size distribution from the kernel detail spans).
 void record_trace(MetricsRegistry& reg, const TraceData& data);

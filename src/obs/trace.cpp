@@ -134,11 +134,24 @@ std::string structure_signature(const TraceData& data) {
 std::vector<PhaseRow> phase_breakdown(const TraceData& data) {
   std::map<std::string, PhaseRow> rows;
   for (const ThreadTrace& t : data.threads) {
-    for (const TraceEvent& e : t.events) {
+    // child_ns[i]: closed direct children's time of event i. Events are in
+    // open order, so the open ancestors of an event are a stack by depth.
+    std::vector<std::uint64_t> child_ns(t.events.size(), 0);
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < t.events.size(); ++i) {
+      const TraceEvent& e = t.events[i];
+      while (!open.empty() && t.events[open.back()].depth >= e.depth)
+        open.pop_back();
+      if (e.closed() && !open.empty()) child_ns[open.back()] += e.dur_ns;
+      open.push_back(i);
+    }
+    for (std::size_t i = 0; i < t.events.size(); ++i) {
+      const TraceEvent& e = t.events[i];
       if (!e.closed()) continue;
       PhaseRow& row = rows[e.name];
       row.count += 1;
       row.seconds += static_cast<double>(e.dur_ns) * 1e-9;
+      row.self_seconds += static_cast<double>(e.dur_ns - child_ns[i]) * 1e-9;
     }
   }
   std::vector<PhaseRow> out;

@@ -194,12 +194,15 @@ class TraceSpan {
 // Identical inputs ⇒ identical string at any thread count.
 [[nodiscard]] std::string structure_signature(const TraceData& data);
 
-// Inclusive per-name totals (a parent's time includes its children's),
-// sorted by name. Unclosed spans are skipped.
+// Per-name totals, sorted by name. `seconds` is inclusive (a parent's time
+// includes its children's); `self_seconds` is each span's duration minus
+// its direct child spans on the same thread, so the self times of all names
+// add up to the root spans' total. Unclosed spans are skipped.
 struct PhaseRow {
   std::string name;
   std::uint64_t count = 0;
   double seconds = 0.0;
+  double self_seconds = 0.0;
 };
 [[nodiscard]] std::vector<PhaseRow> phase_breakdown(const TraceData& data);
 

@@ -38,14 +38,12 @@ struct VgStats {
   std::size_t snapshot_cands_avoided = 0;  // candidates NOT deep-copied at
                                            // buffer insertion (read views)
   std::size_t pool_reuses = 0;  // candidate-list blocks recycled (pool)
-  // Best-predecessor counters (fast kernel, PR 6). With b buffer types the
-  // naive insertion step re-evaluates noise/slew feasibility for every
-  // candidate once per type; the fast kernel binary-searches each
-  // candidate's first feasible type once per bucket and answers all b
-  // queries with predicate-free scans of the already-feasible groups.
-  // These record how many buckets were prepared and how many candidates
-  // were infeasible for every type (never scanned at all).
-  std::size_t bp_prune_calls = 0;        // best-predecessor preparations
+  // Best-predecessor counters (fast kernel). The insertion step scans each
+  // nonempty (phase, count) bucket once per buffer type for its best
+  // predecessor; these record how many buckets were scanned and how many
+  // scanned candidates were infeasible (noise/slew) for the lowest-R type,
+  // hence for every type.
+  std::size_t bp_prune_calls = 0;        // buckets scanned for insertion
   std::size_t bp_candidates_killed = 0;  // infeasible for every type
   std::size_t lib_types = 0;             // buffer-library size seen (max)
   // SoA-layout counters (fast kernel, PR 10). Candidate lists live in

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/batch.hpp"
@@ -137,6 +140,30 @@ TEST(Batch, WorkerExceptionPropagates) {
   opt.max_buffers = 0;  // rejected by the DP's precondition check
   EXPECT_THROW((void)batch::BatchEngine(opt).run(nets, kLib),
                std::invalid_argument);
+}
+
+TEST(Batch, ParallelForIndexReportsLowestFailingIndex) {
+  // Item 5 fails late (after a sleep), item 40 fails at once: in time,
+  // item 40's error comes first at 8 threads. The rethrown error must be
+  // item 5's, as in a serial run, so callers (BatchEngine::run,
+  // signoff::run_workload) raise the same error at every thread count.
+  const auto failure = [](std::size_t threads) {
+    try {
+      batch::parallel_for_index(64, threads, [](std::size_t i) {
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          throw std::runtime_error("item 5");
+        }
+        if (i == 40) throw std::runtime_error("item 40");
+      });
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string serial = failure(1);
+  EXPECT_EQ(serial, "item 5");
+  for (int run = 0; run < 20; ++run) EXPECT_EQ(failure(8), serial);
 }
 
 TEST(Batch, EmptyInputAndMoreThreadsThanNets) {

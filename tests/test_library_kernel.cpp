@@ -1,6 +1,6 @@
 // Randomized-library differential fuzz (PR 6).
 //
-// The multi-type kernel work (grouped best-predecessor insertion, polarity
+// The multi-type kernel work (per-type best-predecessor insertion, polarity
 // phases, dominated-at-birth skip) must not depend on WHICH library it
 // runs against. This suite fuzzes the library axis the way test_vg_kernel
 // fuzzes the net axis:
@@ -186,7 +186,7 @@ TEST(LibraryKernel, BatchScheduleIndependentOnRandomLibrary) {
 
 TEST(LibraryKernel, BestPredecessorCountersSplitByKernel) {
   // bp_prune_calls / bp_candidates_killed are fast-kernel path counters
-  // (the reference kernel has no grouped structure); lib_types is shared.
+  // (the reference kernel books none); lib_types is shared.
   const lib::BufferLibrary library = test::random_library(0x5EED, 17, 0.5);
   const auto net = test::long_two_pin(12000.0);
   rct::RoutingTree segmented = net;

@@ -207,6 +207,50 @@ TEST(Trace, PhaseBreakdownCountsPerName) {
 }
 #endif
 
+TEST(Trace, PhaseBreakdownSelfTimeSubtractsDirectChildren) {
+  // Hand-built nesting with exact nanosecond durations (depth in brackets):
+  //   thread 1: a[0] 1000 { b[1] 300 { c[2] 50 }, b[1] 200, c[1] 100 },
+  //             a[0] 400
+  //   thread 2: b[0] 700 { c[1] 20, d[1] unclosed }
+  using obs::TraceEvent;
+  constexpr std::uint64_t kOpen = TraceEvent::kUnclosed;
+  obs::TraceData data;
+  data.threads.push_back({1,
+                          {{"a", 0, 1000, 0, obs::kNoTag},
+                           {"b", 100, 300, 1, obs::kNoTag},
+                           {"c", 150, 50, 2, obs::kNoTag},
+                           {"b", 500, 200, 1, obs::kNoTag},
+                           {"c", 800, 100, 1, obs::kNoTag},
+                           {"a", 2000, 400, 0, obs::kNoTag}}});
+  data.threads.push_back({2,
+                          {{"b", 0, 700, 0, obs::kNoTag},
+                           {"c", 10, 20, 1, obs::kNoTag},
+                           {"d", 40, kOpen, 1, obs::kNoTag}}});
+  const std::vector<obs::PhaseRow> rows = obs::phase_breakdown(data);
+  ASSERT_EQ(rows.size(), 3u);  // the unclosed span has no row
+  EXPECT_EQ(rows[0].name, "a");
+  EXPECT_EQ(rows[0].count, 2u);
+  EXPECT_DOUBLE_EQ(rows[0].seconds, 1400e-9);
+  EXPECT_DOUBLE_EQ(rows[0].self_seconds, (1000 - 300 - 200 - 100 + 400) * 1e-9);
+  EXPECT_EQ(rows[1].name, "b");
+  EXPECT_EQ(rows[1].count, 3u);
+  EXPECT_DOUBLE_EQ(rows[1].seconds, 1200e-9);
+  EXPECT_DOUBLE_EQ(rows[1].self_seconds, (300 - 50 + 200 + 700 - 20) * 1e-9);
+  EXPECT_EQ(rows[2].name, "c");
+  EXPECT_EQ(rows[2].count, 3u);
+  EXPECT_DOUBLE_EQ(rows[2].seconds, 170e-9);
+  EXPECT_DOUBLE_EQ(rows[2].self_seconds, 170e-9);
+  // Self times partition the root spans' time.
+  EXPECT_DOUBLE_EQ(rows[0].self_seconds + rows[1].self_seconds +
+                       rows[2].self_seconds,
+                   (1000 + 400 + 700) * 1e-9);
+
+  obs::MetricsRegistry reg;
+  obs::record_trace(reg, data);
+  EXPECT_DOUBLE_EQ(reg.gauge("trace.b.self_seconds").value(),
+                   rows[1].self_seconds);
+}
+
 // --- randomized multithreaded span/counter stress -------------------------------
 
 // splitmix64: per-index seed -> deterministic pseudo-random work shape,

@@ -3,6 +3,11 @@
 // parameter space, not just hand-picked cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+
 #include "common/random_library.hpp"
 #include "common/test_nets.hpp"
 #include "core/alg1_single_sink.hpp"
@@ -16,6 +21,7 @@
 #include "noise/incremental.hpp"
 #include "noise/pulse.hpp"
 #include "core/vanginneken.hpp"
+#include "core/soa_sweeps.hpp"
 #include "core/vg_kernel.hpp"
 #include "netgen/netgen.hpp"
 #include "seg/segment.hpp"
@@ -397,70 +403,252 @@ TEST(LibraryProperties, InvertedSinkNeedsAnInverter) {
                                       segmented.sinks().front().node));
 }
 
-TEST(LibraryProperties, BestPredecessorMatchesNaiveScanOnRandomStaircases) {
-  // Best-predecessor soundness, isolated from the DP: on random Pareto
-  // staircases the feasibility-grouped scan must return exactly the
-  // candidate the reference kernel's first-wins linear scan would pick,
-  // for every type, under every feasibility-predicate combination. `q`
-  // must match bitwise (same expression, same operand order).
+// The reference kernel's selection loop (vanginneken.cpp insert_buffers):
+// verbatim predicates, q expression and strict `>`, plus a count of the
+// entries a predicate rejects.
+core::detail::BestPredecessor reference_select(const core::CandSpan& view,
+                                               const lib::BufferType& b,
+                                               bool noise, double max_slew) {
+  core::detail::BestPredecessor best;
+  double best_q = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < view.n; ++i) {
+    if (noise && b.resistance * view.current[i] > view.noise_slack[i]) {
+      ++best.infeasible;
+      continue;
+    }
+    if (elmore::kSlewFactor * (b.resistance * view.load[i] + view.dhat[i]) >
+        max_slew) {
+      ++best.infeasible;
+      continue;
+    }
+    const double q =
+        view.slack[i] - b.intrinsic_delay - b.resistance * view.load[i];
+    if (q > best_q) {
+      best_q = q;
+      best.idx = i;
+    }
+  }
+  best.q = best_q;
+  return best;
+}
+
+TEST(LibraryProperties, SelectBestPredecessorMatchesReferenceScan) {
+  // Best-predecessor selection, isolated from the DP: on random staircases
+  // select_best_predecessor must pick exactly the reference loop's entry
+  // (first index among bit-equal q maxima), return its q bit for bit, and
+  // count the same infeasible entries. Odd trials use small integers, so
+  // q is exact and many entries tie bit for bit for some type.
   util::Rng rng(0xC0DE5);
-  for (int trial = 0; trial < 160; ++trial) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 400; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const std::size_t types = 1 + static_cast<std::size_t>(trial % 23);
-    const lib::BufferLibrary library = test::random_library(
-        9000 + static_cast<std::uint64_t>(trial), types, 0.4);
+    const bool exact = trial % 2 == 1;
+    const std::size_t types = 1 + static_cast<std::size_t>(trial % 13);
+    lib::BufferLibrary library;
+    if (exact) {
+      for (std::size_t t = 0; t < types; ++t)
+        library.add({"t" + std::to_string(t),
+                     static_cast<double>(rng.uniform_int(1, 4)),
+                     static_cast<double>(rng.uniform_int(1, 9)),
+                     static_cast<double>(rng.uniform_int(0, 3)), 1.0, false});
+    } else {
+      library = test::random_library(
+          9000 + static_cast<std::uint64_t>(trial), types, 0.4);
+    }
+    const bool noise = rng.chance(0.5);
+    double max_slew = inf;
+    if (rng.chance(0.4))
+      max_slew = exact ? static_cast<double>(rng.uniform_int(5, 200))
+                       : rng.uniform(80.0, 400.0) * ps;
 
-    core::VgOptions opt;
-    opt.noise_constraints = (trial % 2 == 0);
-    if (trial % 3 == 0) opt.max_slew = rng.uniform(80.0, 400.0) * ps;
-
-    // A strict Pareto staircase: loads and slacks strictly ascend. Built
-    // directly in SoA lanes, the form the fast kernel consumes.
+    // A strict Pareto staircase in SoA lanes. In exact trials a slack step
+    // of R * (load step) keeps q equal to the previous entry's for every
+    // type of resistance R.
     core::SoAList cands;
-    double load = rng.uniform(1.0, 30.0) * fF;
-    double slack = rng.uniform(-800.0, 0.0) * ps;
-    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 39));
-    for (std::size_t i = 0; i < m; ++i) {
-      cands.push_back(load, slack, rng.uniform(0.0, 120.0) * uA,
-                      rng.uniform(0.0, 0.9), rng.uniform(0.0, 300.0) * ps,
-                      core::kNullPlan);
-      load += rng.uniform(0.5, 40.0) * fF;
-      slack += rng.uniform(1.0, 120.0) * ps;
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    double load = exact ? 1.0 : rng.uniform(1.0, 30.0) * fF;
+    double slack = exact ? -50.0 : rng.uniform(-800.0, 0.0) * ps;
+    const double tie_r = exact ? static_cast<double>(rng.uniform_int(1, 4))
+                               : 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double current, ns, dhat;
+      if (exact) {
+        current = static_cast<double>(rng.uniform_int(0, 6));
+        ns = static_cast<double>(rng.uniform_int(0, 12));
+        dhat = static_cast<double>(rng.uniform_int(0, 20));
+      } else {
+        current = rng.uniform(0.0, 120.0) * uA;
+        ns = rng.uniform(0.0, 0.9);
+        dhat = rng.uniform(0.0, 300.0) * ps;
+      }
+      double s = slack;
+      // q = -inf / NaN entries: they never win, but still pass or fail
+      // the predicates like any other entry.
+      if (rng.chance(0.05)) s = rng.chance(0.5) ? -inf : std::nan("");
+      cands.push_back(load, s, current, ns, dhat, core::kNullPlan);
+      const double dl = exact ? static_cast<double>(rng.uniform_int(1, 3))
+                              : rng.uniform(0.5, 40.0) * fF;
+      load += dl;
+      slack += exact ? tie_r * dl + (rng.chance(0.6) ? 0.0 : 1.0)
+                     : rng.uniform(1.0, 120.0) * ps;
     }
     const core::CandSpan view = cands.span();
-
-    const core::detail::TypeOrder order = core::detail::TypeOrder::make(library);
-    core::detail::BestPredecessors bp;
-    bp.prepare(view, opt, library, order);
-    std::vector<core::detail::BestPredecessors::Choice> choices;
-    bp.select_all(library, order, choices);
-    ASSERT_EQ(choices.size(), order.ids.size());
-
-    for (std::size_t pos = 0; pos < order.ids.size(); ++pos) {
-      const lib::BufferType& b = library.at(order.ids[pos]);
-      // The reference kernel's scan, verbatim predicates and tie-break.
-      std::size_t best = core::detail::BestPredecessors::Choice::kNone;
-      double best_q = -std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < view.n; ++i) {
-        if (opt.noise_constraints &&
-            b.resistance * view.current[i] > view.noise_slack[i])
-          continue;
-        if (elmore::kSlewFactor * (b.resistance * view.load[i] + view.dhat[i]) >
-            opt.max_slew)
-          continue;
-        const double q =
-            view.slack[i] - b.intrinsic_delay - b.resistance * view.load[i];
-        if (q > best_q) {
-          best_q = q;
-          best = i;
-        }
-      }
-      const auto& choice = choices[pos];
-      EXPECT_EQ(choice.idx, best) << "type walk position " << pos;
-      if (best != core::detail::BestPredecessors::Choice::kNone) {
-        EXPECT_EQ(choice.q, best_q);
-      }
+    for (lib::BufferId id : library.ids()) {
+      const lib::BufferType& b = library.at(id);
+      const auto want = reference_select(view, b, noise, max_slew);
+      const auto got =
+          core::detail::select_best_predecessor(view, b, noise, max_slew);
+      EXPECT_EQ(got.idx, want.idx) << "type " << id.value();
+      EXPECT_EQ(got.infeasible, want.infeasible) << "type " << id.value();
+      EXPECT_EQ(got.q, want.q) << "type " << id.value();
     }
+  }
+}
+
+TEST(LibraryProperties, FuseBufferTailMatchesAppendSortPrune) {
+  // The fuse step against its definition: drop records dominated at birth
+  // by the pre-insertion staircase (dominated_by_staircase, ties
+  // included), append the rest with their plan cells, sort by cand_less,
+  // prune_sweep. Inputs stress every tie the merge must order exactly:
+  // records on a view entry's (load, slack), records sharing an input cap
+  // with bit-equal q (and sometimes noise margin, leaving the type id),
+  // q = -inf, noise-dead records, and empty targets.
+  util::Rng rng(0xF05E);
+  const double inf = std::numeric_limits<double>::infinity();
+  const rct::NodeId v{7};
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool noise = rng.chance(0.7);
+    core::PlanArena arena;
+    std::vector<core::PlanRef> refs{core::kNullPlan};
+    for (std::uint32_t w = 0; w < 6; ++w)
+      refs.push_back(arena.wire(refs.back(), {rct::NodeId{w}, w + 1}));
+    const auto any_ref = [&] {
+      return refs[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(refs.size()) - 1))];
+    };
+
+    // The target: a pruned staircase (strictly ascending loads and
+    // slacks, no dead entry) on a small integer grid.
+    core::SoAList view;
+    core::detail::CandList aos;
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    double load = static_cast<double>(rng.uniform_int(1, 4));
+    double slack = static_cast<double>(rng.uniform_int(-20, 0));
+    for (std::size_t i = 0; i < n; ++i) {
+      const core::detail::VgCand c{
+          load, slack, static_cast<double>(rng.uniform_int(0, 5)),
+          static_cast<double>(rng.uniform_int(0, 9)),
+          static_cast<double>(rng.uniform_int(0, 9)), any_ref()};
+      view.push_back(c.load, c.slack, c.current, c.noise_slack, c.dhat,
+                     c.plan);
+      aos.push_back(c);
+      load += static_cast<double>(rng.uniform_int(1, 4));
+      slack += static_cast<double>(rng.uniform_int(1, 4));
+    }
+
+    // At most one record per type id.
+    std::vector<core::detail::BufferRecord> recs;
+    const int types = rng.uniform_int(0, 10);
+    for (int t = 0; t < types; ++t) {
+      if (rng.chance(0.2)) continue;
+      core::detail::BufferRecord r;
+      r.type = lib::BufferId{static_cast<std::uint32_t>(t)};
+      r.pred = any_ref();
+      const double pick = rng.uniform(0.0, 1.0);
+      if (!aos.empty() && pick < 0.3) {  // on or next to a view entry
+        const auto& e = aos[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(aos.size()) - 1))];
+        r.input_cap = e.load;
+        r.q = e.slack + static_cast<double>(rng.uniform_int(-1, 1));
+      } else if (!recs.empty() && pick < 0.6) {  // bit-equal to a record
+        const auto& o = recs[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(recs.size()) - 1))];
+        r.input_cap = o.input_cap;
+        r.q = rng.chance(0.7) ? o.q : o.q + 1.0;
+        r.noise_margin = o.noise_margin;
+      } else {
+        r.input_cap = static_cast<double>(rng.uniform_int(0, 30));
+        r.q = rng.chance(0.05) ? -inf
+                               : static_cast<double>(rng.uniform_int(-25, 40));
+      }
+      if (r.noise_margin == 0.0 || rng.chance(0.3))
+        r.noise_margin = static_cast<double>(rng.uniform_int(-2, 6));
+      recs.push_back(r);
+    }
+    for (std::size_t i = recs.size(); i > 1; --i)  // random id order
+      std::swap(recs[i - 1], recs[static_cast<std::size_t>(rng.uniform_int(
+                                 0, static_cast<int>(i) - 1))]);
+
+    // Oracle: the definition, in its own copy of the arena.
+    core::PlanArena oracle_arena = arena;
+    core::SoAList oracle;
+    for (std::size_t i = 0; i < n; ++i)
+      oracle.push_back(aos[i].load, aos[i].slack, aos[i].current,
+                       aos[i].noise_slack, aos[i].dhat, aos[i].plan);
+    std::size_t born_dominated = 0;
+    for (const auto& r : recs) {
+      if (core::detail::dominated_by_staircase(aos.data(), aos.size(),
+                                               r.input_cap, r.q)) {
+        ++born_dominated;
+        continue;
+      }
+      oracle.push_back(r.input_cap, r.q, 0.0, r.noise_margin, 0.0,
+                       oracle_arena.buffer(r.pred, {v, 0.0, r.type}));
+    }
+    const std::size_t passed = oracle.size() - n;
+    std::vector<std::uint32_t> perm(oracle.size());
+    std::iota(perm.begin(), perm.end(), 0u);
+    const core::CandSpan os = oracle.span();
+    std::sort(perm.begin(), perm.end(),  // nbuf-lint: allow(sort)
+              [&](std::uint32_t x, std::uint32_t y) {
+                return core::detail::soa_cand_less(os, x, y, oracle_arena);
+              });
+    core::SoAList sorted;
+    core::detail::soa::gather(oracle, perm.data(), perm.size(), sorted);
+    core::detail::soa::PruneResult pr;
+    if (passed > 0) pr = core::detail::soa::prune_sweep(sorted, noise);
+
+    core::SoAList list;
+    for (std::size_t i = 0; i < n; ++i)
+      list.push_back(aos[i].load, aos[i].slack, aos[i].current,
+                     aos[i].noise_slack, aos[i].dhat, aos[i].plan);
+    core::SoAList scratch;
+    const std::size_t cells_before = arena.cell_count();
+    const core::detail::FuseCounts got = core::detail::fuse_buffer_tail(
+        list, recs.data(), recs.size(), v, noise, arena, scratch);
+
+    EXPECT_EQ(got.born_dominated, born_dominated);
+    EXPECT_EQ(got.passed, passed);
+    EXPECT_EQ(got.dead, pr.dead);
+    EXPECT_EQ(got.inferior, pr.inferior);
+    ASSERT_EQ(list.size(), sorted.size());
+    std::size_t fresh = 0;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      SCOPED_TRACE("entry " + std::to_string(i));
+      EXPECT_EQ(list.load()[i], sorted.load()[i]);
+      EXPECT_EQ(list.slack()[i], sorted.slack()[i]);
+      EXPECT_EQ(list.current()[i], sorted.current()[i]);
+      EXPECT_EQ(list.noise_slack()[i], sorted.noise_slack()[i]);
+      EXPECT_EQ(list.dhat()[i], sorted.dhat()[i]);
+      const core::PlanRef a = list.plan()[i];
+      const core::PlanRef b = sorted.plan()[i];
+      if (a <= cells_before) {  // carried over from the view
+        EXPECT_EQ(a, b);
+        continue;
+      }
+      ++fresh;  // a new Buffer cell: compare content across the arenas
+      ASSERT_GT(b, cells_before);
+      const core::PlanCell& ca = arena.at(a);
+      const core::PlanCell& cb = oracle_arena.at(b);
+      EXPECT_EQ(ca.kind, cb.kind);
+      EXPECT_EQ(ca.a, cb.a);
+      EXPECT_EQ(ca.x, cb.x);
+      EXPECT_EQ(ca.y, cb.y);
+      EXPECT_EQ(ca.dist, cb.dist);
+    }
+    // Plan cells only for the records that survive the prune.
+    EXPECT_EQ(arena.cell_count() - cells_before, fresh);
   }
 }
 

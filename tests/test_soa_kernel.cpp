@@ -301,12 +301,6 @@ TEST(SoAKernel, SoAListAlignmentGrowthAndPoolReuse) {
     EXPECT_EQ(list.plan()[i], static_cast<core::PlanRef>(i));
   }
 
-  // Prefix views share the lane pointers.
-  const core::CandSpan prefix = list.span(10);
-  EXPECT_EQ(prefix.n, 10u);
-  EXPECT_EQ(prefix.load, list.load());
-  EXPECT_EQ(prefix.plan, list.plan());
-
   // Pool round trip: a released block comes back cleared but with its
   // capacity (and its allocation) intact; an empty pool hands out
   // capacity-0 lists and never counts a reuse.

@@ -418,10 +418,11 @@ bool write_text_file(const std::string& path, const std::string& body) {
 void print_phase_table(const obs::TraceData& trace) {
   const std::vector<obs::PhaseRow> rows = obs::phase_breakdown(trace);
   if (rows.empty()) return;
-  util::Table t({"span", "count", "total ms"});
+  util::Table t({"span", "count", "total ms", "self ms"});
   for (const obs::PhaseRow& r : rows)
     t.add_row({r.name, util::Table::integer(static_cast<long long>(r.count)),
-               util::Table::num(r.seconds * 1e3, 3)});
+               util::Table::num(r.seconds * 1e3, 3),
+               util::Table::num(r.self_seconds * 1e3, 3)});
   std::fputs(t.render().c_str(), stdout);
 }
 
