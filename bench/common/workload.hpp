@@ -2,12 +2,14 @@
 //
 // Every table bench runs on the same seed-stable 500-net testbench so rows
 // are directly comparable across binaries, exactly as the paper reuses its
-// 500 PowerPC nets across Tables I-IV. The sized variant and the phases
-// helper serve the timing benches (figI/figK): one workload loader instead
-// of per-binary copies, and one JSON shape for per-phase span timings.
+// 500 PowerPC nets across Tables I-IV. The sized variant and the helpers
+// below serve the timing benches (figI/figK): one workload loader, one
+// command line and one JSON shape for per-phase span timings instead of
+// per-binary copies.
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,17 +53,60 @@ inline std::vector<batch::BatchNet> sized_testbench(
   return nets;
 }
 
-// Per-phase span timings as one JSON object, routed through the
+// The timing benches' command line, `[--quick] [--out FILE]`.
+struct TimingArgs {
+  bool quick = false;
+  std::string out;     // the document's path; holds the default on entry
+  std::ofstream file;  // opened by parse_timing_args
+};
+
+// Parses argv into `args` and opens --out before any timed run, so an
+// unwritable path fails at once instead of after the whole bench. Returns
+// 0, or 2 after printing the usage line or the path that cannot be opened.
+inline int parse_timing_args(int argc, char** argv, TimingArgs& args) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--quick") {
+      args.quick = true;
+    } else if (a == "--out" && i + 1 < argc) {
+      args.out = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n", argv[0]);
+      return 2;
+    }
+  }
+  args.file.open(args.out);
+  if (!args.file) {
+    std::fprintf(stderr, "%s: cannot open --out %s for writing\n", argv[0],
+                 args.out.c_str());
+    return 2;
+  }
+  return 0;
+}
+
+// Writes the finished document to --out; false after naming the path when
+// the write fails.
+inline bool write_document(TimingArgs& args, const util::JsonWriter& j) {
+  args.file << j.str() << '\n';
+  args.file.close();
+  if (!args.file) {
+    std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", args.out.c_str());
+  return true;
+}
+
+// Per-phase span timings as one JSON object value, routed through the
 // MetricsRegistry ("trace.<name>.count" counters + "trace.<name>.seconds"
 // and ".self_seconds" gauges) so the BENCH JSONs and `nbuf_cli --metrics`
-// agree on the data path. Renders
-// {"<name>": {"count": N, "seconds": S, "self_seconds": F}, ...}, name-sorted;
-// splice into a BENCH document as the value of a "phases" key.
-inline std::string phases_json(const obs::TraceData& trace) {
+// agree on the data path. Writes
+// {"<name>": {"count": N, "seconds": S, "self_seconds": F}, ...}, name-sorted,
+// into `j` (call it after the document's "phases" key).
+inline void write_phases(util::JsonWriter& j, const obs::TraceData& trace) {
   obs::MetricsRegistry reg;
   obs::record_trace(reg, trace);
   const obs::MetricsSnapshot snap = reg.snapshot();
-  util::JsonWriter j;
   j.begin_object();
   for (const obs::MetricsSnapshot::CounterRow& c : snap.counters) {
     constexpr std::string_view prefix = "trace.";
@@ -87,7 +132,6 @@ inline std::string phases_json(const obs::TraceData& trace) {
     j.end_object();
   }
   j.end_object();
-  return j.str();
 }
 
 }  // namespace nbuf::bench

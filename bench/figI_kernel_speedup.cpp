@@ -18,12 +18,14 @@
 // writes {"workloads":[{name, sites|nets, threads, ref_seconds,
 // fast_seconds, speedup, identical_results}, ...], "phases": {...}} (the
 // phases object is a per-span wall-time breakdown of one traced fast-kernel
-// batch run — bench/common/workload.hpp phases_json shape) plus a summary
-// line per workload on stdout.
+// batch run — bench/common/workload.hpp write_phases shape) plus a summary
+// line per workload on stdout. An --out path that cannot be opened exits 2
+// before any timed run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/batch.hpp"
@@ -147,51 +149,44 @@ Row batch_row(const std::vector<batch::BatchNet>& nets,
   return row;
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::string& phases) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
+// The --out document: {"bench", "workloads": [row, ...], "phases": {...}}.
+util::JsonWriter document(const std::vector<Row>& rows,
+                          const obs::TraceData& trace) {
+  util::JsonWriter j;
+  j.begin_object();
+  j.field("bench", std::string_view("figI_kernel_speedup"));
+  j.key("workloads");
+  j.begin_array();
+  for (const Row& r : rows) {
+    j.begin_object();
+    j.field("name", std::string_view(r.name));
+    j.field("sites", r.sites);
+    j.field("nets", r.nets);
+    j.field("threads", static_cast<std::size_t>(r.threads));
+    j.field("ref_seconds", r.ref_seconds);
+    j.field("fast_seconds", r.fast_seconds);
+    j.field("speedup", r.speedup());
+    j.field("identical_results", r.identical);
+    j.end_object();
   }
-  std::fprintf(f, "{\n  \"bench\": \"figI_kernel_speedup\",\n"
-                  "  \"workloads\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"sites\": %zu, \"nets\": %zu, "
-        "\"threads\": %u, \"ref_seconds\": %.6f, \"fast_seconds\": %.6f, "
-        "\"speedup\": %.3f, \"identical_results\": %s}%s\n",
-        r.name.c_str(), r.sites, r.nets, r.threads, r.ref_seconds,
-        r.fast_seconds, r.speedup(), r.identical ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"phases\": %s\n}\n", phases.c_str());
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+  j.end_array();
+  j.key("phases");
+  bench::write_phases(j, trace);
+  j.end_object();
+  return j;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out = "BENCH_vg_kernel.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--out" && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n", argv[0]);
-      return 2;
-    }
-  }
+  bench::TimingArgs args;
+  args.out = "BENCH_vg_kernel.json";
+  if (const int rc = bench::parse_timing_args(argc, argv, args); rc != 0)
+    return rc;
 
   const auto library = lib::default_library();
-  const std::size_t sites = quick ? 128 : 512;
-  const int reps = quick ? 1 : 3;
+  const std::size_t sites = args.quick ? 128 : 512;
+  const int reps = args.quick ? 1 : 3;
   std::vector<Row> rows;
 
   {
@@ -213,7 +208,7 @@ int main(int argc, char** argv) {
                               reps));
   }
 
-  const auto nets = bench::sized_testbench(library, quick ? 60 : 500);
+  const auto nets = bench::sized_testbench(library, args.quick ? 60 : 500);
   for (const unsigned threads : {1u, 8u})
     rows.push_back(batch_row(nets, library, threads));
 
@@ -236,7 +231,7 @@ int main(int argc, char** argv) {
         r.name.c_str(), r.sites, r.nets, r.threads, r.ref_seconds,
         r.fast_seconds, r.speedup(), r.identical ? "yes" : "NO");
   }
-  write_json(out, rows, bench::phases_json(trace));
+  if (!bench::write_document(args, document(rows, trace))) return 2;
   if (!all_identical) {
     std::printf("FAIL: kernels disagree\n");
     return 1;

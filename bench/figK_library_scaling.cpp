@@ -20,17 +20,20 @@
 // itself is generated once with the default library so every row
 // optimizes the same nets.
 //
-// Pass/fail: exit 1 when any row's kernels disagree, or when per-node
-// candidate work grows super-linearly in b — checked as per-type
-// normalized per-net time, time(64)/64 <= 2.5x time(8)/8. The exact DP's
-// state is inherently ~linear in b (every ladder type is Pareto-alive, so
-// staircases hold ~b entries and the count in candidates_per_node grows
-// ~b — that is the O(bn^2)), so raw wall time also grows ~b;
-// what the insertion step must keep flat is the per-type overhead on top
-// of that state, which is exactly what the normalized bound pins.
+// Exit 2 on a usage error or an --out path that cannot be opened, checked
+// before any timed run. Pass/fail: exit 1 when any row's kernels disagree,
+// or when per-node candidate work grows super-linearly in b — checked as
+// per-type normalized per-net time, time(64)/64 <= 2.5x time(8)/8. The
+// exact DP's state is inherently ~linear in b (every ladder type is
+// Pareto-alive, so staircases hold ~b entries and the count in
+// candidates_per_node grows ~b — that is the O(bn^2)), so raw wall time
+// also grows ~b; what the insertion step must keep flat is the per-type
+// overhead on top of that state, which is exactly what the normalized
+// bound pins.
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/batch.hpp"
@@ -103,56 +106,46 @@ Row scale_row(const std::vector<batch::BatchNet>& nets,
   return row;
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                std::size_t nodes_total) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
+// The --out document: {"bench", "nodes_total", "rows": [row, ...]}.
+util::JsonWriter document(const std::vector<Row>& rows,
+                          std::size_t nodes_total) {
+  util::JsonWriter j;
+  j.begin_object();
+  j.field("bench", std::string_view("figK_library_scaling"));
+  j.field("nodes_total", nodes_total);
+  j.key("rows");
+  j.begin_array();
+  for (const Row& r : rows) {
+    j.begin_object();
+    j.field("lib_types", r.lib_types);
+    j.field("nets", r.nets);
+    j.field("fast_seconds", r.fast_seconds);
+    j.field("ref_seconds", r.ref_seconds);
+    j.field("nets_per_second", r.nets_per_second);
+    j.field("candidates_generated", r.candidates);
+    j.field("candidates_per_node", r.candidates_per_node);
+    j.field("bp_prune_calls", r.bp_prune_calls);
+    j.field("bp_candidates_killed", r.bp_candidates_killed);
+    j.field("identical_results", r.identical);
+    j.end_object();
   }
-  std::fprintf(f, "{\n  \"bench\": \"figK_library_scaling\",\n"
-                  "  \"nodes_total\": %zu,\n  \"rows\": [\n",
-               nodes_total);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"lib_types\": %zu, \"nets\": %zu, \"fast_seconds\": %.6f, "
-        "\"ref_seconds\": %.6f, \"nets_per_second\": %.1f, "
-        "\"candidates_generated\": %zu, \"candidates_per_node\": %.2f, "
-        "\"bp_prune_calls\": %zu, \"bp_candidates_killed\": %zu, "
-        "\"identical_results\": %s}%s\n",
-        r.lib_types, r.nets, r.fast_seconds, r.ref_seconds,
-        r.nets_per_second, r.candidates, r.candidates_per_node,
-        r.bp_prune_calls, r.bp_candidates_killed,
-        r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+  j.end_array();
+  j.end_object();
+  return j;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out = "BENCH_library.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a == "--out" && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n", argv[0]);
-      return 2;
-    }
-  }
+  bench::TimingArgs args;
+  args.out = "BENCH_library.json";
+  if (const int rc = bench::parse_timing_args(argc, argv, args); rc != 0)
+    return rc;
 
   // One workload for every row: the library under test changes, the nets
   // do not, so per-net times are directly comparable down the b column.
   const auto nets =
-      bench::sized_testbench(lib::default_library(), quick ? 60 : 500);
+      bench::sized_testbench(lib::default_library(), args.quick ? 60 : 500);
   std::size_t nodes_total = 0;
   for (const batch::BatchNet& n : nets) {
     rct::RoutingTree t = n.tree;
@@ -179,7 +172,7 @@ int main(int argc, char** argv) {
                 r.nets_per_second, r.candidates_per_node, r.bp_prune_calls,
                 r.identical ? "yes" : "NO");
   }
-  write_json(out, rows, nodes_total);
+  if (!bench::write_document(args, document(rows, nodes_total))) return 2;
 
   int rc = 0;
   if (!all_identical) {

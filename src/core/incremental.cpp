@@ -68,8 +68,7 @@ rct::NodeId apply_perturbation(rct::RoutingTree& tree,
       return rct::NodeId{};
     }
     case Perturbation::Kind::WireSplit:
-      return tree.split_wire(
-          p.node, p.fraction * tree.node(p.node).parent_wire.length);
+      return tree.split_wire(p.node, p.dist_above);
     case Perturbation::Kind::TightenMargins: {
       for (std::size_t i = 0; i < tree.sink_count(); ++i) {
         const auto sid = rct::SinkId{static_cast<std::uint32_t>(i)};
@@ -122,10 +121,11 @@ Perturbation random_perturbation(util::Rng& rng,
     default: {
       const rct::NodeId v = pick_non_source();
       const double frac = rng.uniform(0.25, 0.75);
-      if (tree.node(v).parent_wire.length > 1.0) {
+      const double len = tree.node(v).parent_wire.length;
+      if (len > 1.0) {
         p.kind = Perturbation::Kind::WireSplit;
         p.node = v;
-        p.fraction = frac;
+        p.dist_above = frac * len;
       } else {
         // Too short to split: degrade to a rescale so every draw edits.
         p.kind = Perturbation::Kind::WireScale;
@@ -210,8 +210,7 @@ rct::NodeId IncrementalContext::apply(const Perturbation& p) {
       set_sink(p.sink, p.sink_info);
       return rct::NodeId{};
     case Perturbation::Kind::WireSplit:
-      return split_wire(p.node,
-                        p.fraction * tree_.node(p.node).parent_wire.length);
+      return split_wire(p.node, p.dist_above);
     case Perturbation::Kind::TightenMargins:
       tighten_margins(p.delta);
       return rct::NodeId{};

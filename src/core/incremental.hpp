@@ -48,7 +48,7 @@ struct Perturbation {
   enum class Kind {
     WireScale,       // parent wire of `node`: R/C/I scaled by the factors
     SinkSet,         // sink `sink` replaced by `sink_info`
-    WireSplit,       // parent wire of `node` split `fraction` up its length
+    WireSplit,       // parent wire of `node` split `dist_above` up it
     TightenMargins,  // every sink: noise_margin -= delta
     ScaleCoupling,   // every wire: coupling_current *= factor
   };
@@ -58,7 +58,7 @@ struct Perturbation {
   double res_factor = 1.0;   // WireScale
   double cap_factor = 1.0;   // WireScale
   double cur_factor = 1.0;   // WireScale
-  double fraction = 0.5;     // WireSplit: dist_above = fraction * length
+  double dist_above = 0.0;   // WireSplit: µm above `node`, in (0, length)
   rct::SinkInfo sink_info;   // SinkSet replacement (node field ignored)
   double delta = 0.0;        // TightenMargins (volt)
   double factor = 1.0;       // ScaleCoupling

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -273,12 +274,12 @@ struct Session::Impl {
     return render_solution(name, ctx);
   }
 
-  // One edit line of a PERTURB payload, applied through the incremental
-  // API's dirty-marking entry points.
-  void apply_edit(core::IncrementalContext& ctx,
-                  const std::vector<std::string>& t,
-                  const std::string& line) {
-    const rct::RoutingTree& tree = ctx.tree();
+  // One edit line of a PERTURB payload as a core::Perturbation, checked
+  // against `tree`: the net as the payload's earlier lines leave it.
+  static core::Perturbation parse_edit(const rct::RoutingTree& tree,
+                                       const std::vector<std::string>& t,
+                                       const std::string& line) {
+    using Kind = core::Perturbation::Kind;
     const auto node_arg = [&](const std::string& v) {
       const std::size_t idx = parse_index(v, "node");
       if (idx >= tree.node_count())
@@ -292,10 +293,13 @@ struct Session::Impl {
                             "the source node has no parent wire");
       return id;
     };
+    core::Perturbation p;
     if (t[0] == "scale_wire" && t.size() == 5) {
-      ctx.scale_wire(node_arg(t[1]), parse_double(t[2], "res_factor"),
-                     parse_double(t[3], "cap_factor"),
-                     parse_double(t[4], "cur_factor"));
+      p.kind = Kind::WireScale;
+      p.node = node_arg(t[1]);
+      p.res_factor = parse_double(t[2], "res_factor");
+      p.cap_factor = parse_double(t[3], "cap_factor");
+      p.cur_factor = parse_double(t[4], "cur_factor");
     } else if (t[0] == "set_sink" && t.size() == 5) {
       const std::size_t idx = parse_index(t[1], "sink");
       if (idx >= tree.sink_count())
@@ -303,30 +307,33 @@ struct Session::Impl {
                             "sink " + t[1] + " out of range (net has " +
                                 std::to_string(tree.sink_count()) +
                                 " sinks)");
-      const auto sid = rct::SinkId{static_cast<std::uint32_t>(idx)};
-      rct::SinkInfo info = tree.sink(sid);
-      info.cap = parse_double(t[2], "cap_ff") * fF;
-      info.required_arrival = parse_double(t[3], "rat_ps") * ps;
-      info.noise_margin = parse_double(t[4], "nm_v");
-      ctx.set_sink(sid, info);
+      p.kind = Kind::SinkSet;
+      p.sink = rct::SinkId{static_cast<std::uint32_t>(idx)};
+      p.sink_info = tree.sink(p.sink);
+      p.sink_info.cap = parse_double(t[2], "cap_ff") * fF;
+      p.sink_info.required_arrival = parse_double(t[3], "rat_ps") * ps;
+      p.sink_info.noise_margin = parse_double(t[4], "nm_v");
     } else if (t[0] == "split_wire" && t.size() == 3) {
-      const rct::NodeId v = node_arg(t[1]);
-      const double dist = parse_double(t[2], "dist_um");
-      const double len = tree.node(v).parent_wire.length;
-      if (!(dist > 0.0 && dist < len))
+      p.kind = Kind::WireSplit;
+      p.node = node_arg(t[1]);
+      p.dist_above = parse_double(t[2], "dist_um");
+      const double len = tree.node(p.node).parent_wire.length;
+      if (!(p.dist_above > 0.0 && p.dist_above < len))
         throw ProtocolError(ErrorCode::BadRequest,
                             "split distance " + t[2] +
                                 " outside (0, wire length " + fmt_g(len) +
                                 ")");
-      (void)ctx.split_wire(v, dist);
     } else if (t[0] == "tighten_margins" && t.size() == 2) {
-      ctx.tighten_margins(parse_double(t[1], "delta_v"));
+      p.kind = Kind::TightenMargins;
+      p.delta = parse_double(t[1], "delta_v");
     } else if (t[0] == "scale_coupling" && t.size() == 2) {
-      ctx.scale_coupling(parse_double(t[1], "factor"));
+      p.kind = Kind::ScaleCoupling;
+      p.factor = parse_double(t[1], "factor");
     } else {
       throw ProtocolError(ErrorCode::BadRequest,
                           "unknown edit line '" + line + "'");
     }
+    return p;
   }
 
   std::string do_perturb(const std::string& payload, Counters& d) {
@@ -336,10 +343,16 @@ struct Session::Impl {
       throw ProtocolError(ErrorCode::BadRequest,
                           "PERTURB payload must start with 'net <name>'");
     NetEntry& e = entry_of(name);
-    core::IncrementalContext& ctx = context_of(e, e.ctx_opts);
-    NBUF_TRACE_SPAN_TAGGED("serve.perturb", ctx.tree().node_count());
+    const rct::RoutingTree& tree = e.ctx ? e.ctx->tree() : e.base;
+    NBUF_TRACE_SPAN_TAGGED("serve.perturb", tree.node_count());
+    // Every line is parsed before the first edit lands (and before a first
+    // PERTURB builds the context), so a rejected request leaves the net as
+    // it was. From the second edit on, lines are checked against a scratch
+    // copy carrying the earlier edits (a split adds a node and shortens a
+    // wire).
     bool full = false;
-    std::size_t edits = 0;
+    std::vector<core::Perturbation> edits;
+    std::optional<rct::RoutingTree> staged;
     for (std::size_t i = 1; i < lines.size(); ++i) {
       const auto t = tokens_of(lines[i]);
       if (t.empty()) continue;
@@ -347,15 +360,20 @@ struct Session::Impl {
         full = parse_index(t[1], "full") != 0;
         continue;
       }
-      apply_edit(ctx, t, lines[i]);
-      ++edits;
+      if (!edits.empty()) {
+        if (!staged) staged = tree;
+        (void)core::apply_perturbation(*staged, edits.back());
+      }
+      edits.push_back(parse_edit(staged ? *staged : tree, t, lines[i]));
     }
-    if (edits == 0)
+    if (edits.empty())
       throw ProtocolError(ErrorCode::BadRequest,
                           "PERTURB needs at least one edit line");
+    core::IncrementalContext& ctx = context_of(e, e.ctx_opts);
+    for (const core::Perturbation& p : edits) (void)ctx.apply(p);
     // "full 1" discards the cache after the edits: a from-scratch run on
-    // the perturbed tree, the A/B lever the bit-identity tests and the
-    // cold-vs-incremental bench pull.
+    // the perturbed tree, the cold twin an incremental answer must match
+    // byte for byte (tests/test_serve.cpp, perfbench serve_eco's oracle).
     if (full) ctx.invalidate_all();
     (void)ctx.optimize();
     ++d.perturbs;

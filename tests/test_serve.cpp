@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <dirent.h>
 #include <fstream>
 #include <sstream>
@@ -24,7 +25,9 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "steiner/builders.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -49,6 +52,25 @@ std::string net_payload(std::uint64_t seed, const std::string& name) {
   netgen::GeneratedNet g = netgen::generate_net(rng, lib, opt, 0);
   std::ostringstream out;
   io::write_net(out, name, g.tree, rct::BufferAssignment{}, lib);
+  return out.str();
+}
+
+// Branchy clock/control-style nets, 8/16/32 sinks round-robin on `i`, with
+// every edge `400 + 150 * (i % 4)` µm long. On such a tree a local edit
+// dirties one root spine and every sibling subtree stays cached.
+std::string balanced_payload(std::size_t i, const std::string& name) {
+  using namespace nbuf::units;
+  rct::SinkInfo proto;
+  proto.name = "s";
+  proto.cap = (8.0 + static_cast<double>(i % 5) * 4.0) * fF;
+  proto.required_arrival = 3000.0 * ps;  // loose: feasibility guaranteed
+  proto.noise_margin = 0.8;
+  const lib::BufferLibrary lib = lib::default_library();
+  const rct::RoutingTree tree = steiner::make_balanced_tree(
+      3 + static_cast<int>(i % 3), 400.0 + 150.0 * static_cast<double>(i % 4),
+      rct::Driver{"drv", 150.0, 30.0 * ps}, proto, lib::default_technology());
+  std::ostringstream out;
+  io::write_net(out, name, tree, rct::BufferAssignment{}, lib);
   return out.str();
 }
 
@@ -281,6 +303,128 @@ TEST(ServeSession, PerturbMatchesFullColdRerunAcrossEditChain) {
   }
   // The local edits above must actually exercise the cache.
   EXPECT_TRUE(reused_any);
+}
+
+// The serving claim as a deterministic gate: over a stream of 120 local
+// edits, round-robin across 12 branchy nets segmented at 150 µm, every
+// incremental answer equals its "full 1" cold twin, and the incremental
+// stream recomputes at most a quarter of the subtrees its twins do. Exact
+// subtree counts, not wall time, so the gate cannot flake on a busy host;
+// perfbench serve_eco owns the timing.
+TEST(ServeSession, PerturbStreamMatchesColdTwinsAtAQuarterOfTheirWork) {
+  constexpr std::size_t kNets = 12;
+  constexpr std::size_t kCases = 120;
+  serve::Session inc;   // incremental PERTURB
+  serve::Session cold;  // same edits + "full 1" (cache discarded)
+  std::vector<std::string> names;
+  std::vector<std::size_t> nodes, sinks;
+  for (std::size_t i = 0; i < kNets; ++i) {
+    names.push_back("tree" + std::to_string(i));
+    const std::string payload =
+        "segment 150\n" + balanced_payload(i, names.back());
+    for (serve::Session* s : {&inc, &cold}) {
+      const Frame loaded = s->handle(req(Opcode::LoadNet, payload));
+      ASSERT_TRUE(is_ok(loaded)) << loaded.payload;
+      const std::size_t at = loaded.payload.find("nodes ");
+      ASSERT_NE(at, std::string::npos) << loaded.payload;
+      std::size_t n = 0, m = 0;
+      ASSERT_EQ(std::sscanf(loaded.payload.c_str() + at, "nodes %zu sinks %zu",
+                            &n, &m),
+                2);
+      if (s == &inc) {
+        nodes.push_back(n);
+        sinks.push_back(m);
+      }
+      ASSERT_TRUE(is_ok(s->handle(
+          req(Opcode::Optimize, "net " + names.back() + "\nmax_buffers 8\n"))));
+    }
+  }
+  // Wire rescales (never node 0, the source) and sink retunes; consecutive
+  // cases hit distinct nets, so each burst coalesces onto the worker pool.
+  std::vector<std::string> edits;
+  std::vector<Frame> inc_burst, cold_burst;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    const std::size_t net = c % kNets;
+    char buf[128];
+    if (c % 3 == 2) {
+      std::snprintf(buf, sizeof(buf), "set_sink %zu %.1f %.1f %.2f",
+                    c % sinks[net], 8.0 + static_cast<double>(c % 24),
+                    1200.0 + 10.0 * static_cast<double>(c % 40),
+                    0.6 + 0.01 * static_cast<double>(c % 25));
+    } else {
+      std::snprintf(buf, sizeof(buf), "scale_wire %zu %.2f %.2f %.2f",
+                    1 + (c * 7) % (nodes[net] - 1),
+                    0.7 + 0.01 * static_cast<double>(c % 120),
+                    0.8 + 0.01 * static_cast<double>(c % 80),
+                    0.9 + 0.01 * static_cast<double>(c % 40));
+    }
+    edits.emplace_back(buf);
+    const std::string head = "net " + names[net] + "\n";
+    inc_burst.push_back(req(Opcode::Perturb, head + edits.back() + "\n", c));
+    cold_burst.push_back(
+        req(Opcode::Perturb, head + "full 1\n" + edits.back() + "\n", c));
+  }
+  const std::vector<Frame> a = inc.handle_batch(inc_burst);
+  const std::vector<Frame> b = cold.handle_batch(cold_burst);
+  std::size_t inc_work = 0, cold_work = 0;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    ASSERT_TRUE(is_ok(a[c])) << a[c].payload;
+    ASSERT_TRUE(is_ok(b[c])) << b[c].payload;
+    EXPECT_EQ(solution_of(a[c].payload), solution_of(b[c].payload))
+        << "case " << c << " diverged from its cold twin: " << edits[c];
+    inc_work += std::stoul(field_of(a[c].payload, "recomputed"));
+    cold_work += std::stoul(field_of(b[c].payload, "recomputed"));
+  }
+  EXPECT_LE(4 * inc_work, cold_work)
+      << "incremental stream recomputed " << inc_work
+      << " subtrees against " << cold_work << " cold";
+}
+
+// A PERTURB is all or nothing: every edit line is checked against the tree
+// as the earlier lines leave it before the first one lands, so a rejected
+// request leaves the net exactly as a session that never saw it.
+TEST(ServeSession, RejectedPerturbLeavesTheNetUntouched) {
+  // Unsegmented (every edge is 400 µm < 1000), so wire lengths are known.
+  const std::string payload = "segment 1000\n" + balanced_payload(0, "zeta");
+  const std::string optimize = "net zeta\nmax_buffers 6\n";
+  serve::Session hit;    // sees the rejected requests
+  serve::Session clean;  // never does
+  std::size_t nodes = 0;
+  for (serve::Session* s : {&hit, &clean}) {
+    const Frame loaded = s->handle(req(Opcode::LoadNet, payload));
+    ASSERT_TRUE(is_ok(loaded)) << loaded.payload;
+    nodes = std::stoul(
+        loaded.payload.substr(loaded.payload.find("nodes ") + 6));
+  }
+  const std::string next = std::to_string(nodes);      // a split's new node
+  const std::string beyond = std::to_string(nodes + 1);
+  for (const std::string& edits :
+       {std::string("set_sink 0 200 100 0.3\nscale_wire 99999 1 1 1\n"),
+        // Node 1's wire is 100 µm once the first line splits it.
+        std::string("split_wire 1 100\nsplit_wire 1 200\n"),
+        "split_wire 2 100\nscale_wire 3 1.5 1.5 1.5\nscale_wire " + beyond +
+            " 1 1 1\n",
+        std::string("tighten_margins 0.1\nscale_wire 1 1 1 one\n")}) {
+    const Frame r = hit.handle(req(Opcode::Perturb, "net zeta\n" + edits));
+    EXPECT_EQ(r.op, Opcode::Error) << edits;
+    EXPECT_EQ(r.payload.rfind("error bad_request:", 0), 0u) << r.payload;
+  }
+  // Rejected before any OPTIMIZE, they fixed no options either.
+  for (serve::Session* s : {&hit, &clean}) {
+    const Frame r = s->handle(req(Opcode::Optimize, optimize));
+    ASSERT_TRUE(is_ok(r)) << r.payload;
+  }
+  // A line that is valid only after an earlier split is accepted.
+  for (serve::Session* s : {&hit, &clean}) {
+    const Frame r = s->handle(req(
+        Opcode::Perturb,
+        "net zeta\nsplit_wire 4 150\nscale_wire " + next + " 1.2 1.2 1.2\n"));
+    ASSERT_TRUE(is_ok(r)) << r.payload;
+  }
+  const Frame after = hit.handle(req(Opcode::Optimize, optimize));
+  const Frame fresh = clean.handle(req(Opcode::Optimize, optimize));
+  ASSERT_TRUE(is_ok(after)) << after.payload;
+  EXPECT_EQ(after.payload, fresh.payload);
 }
 
 TEST(ServeSession, PerturbBeforeOptimizeUsesDefaultOptions) {

@@ -38,9 +38,6 @@
 //                     (library-size sweeps; excludes --library)
 //   --lib-inverting F fraction of ladder rungs that are inverters,
 //                     in [0, 1) (default 0.45, the paper library's mix)
-//   --kernel K        fast (default) | reference — Van Ginneken DP kernel
-//                     (reference is the pre-optimization oracle; results
-//                     are bit-identical either way)
 //   --trace FILE      record trace spans around the run and write Chrome
 //                     Trace Event JSON (open in Perfetto / chrome://tracing;
 //                     docs/observability.md) plus print a per-phase wall
@@ -57,7 +54,7 @@
 //   Devgan metric, Elmore timing (src/signoff) — and reports structured
 //   violations plus metric-vs-golden pessimism statistics.
 //
-//   --dir/--netgen/--seed/--threads/--mode/--max-buffers/--segment/--kernel
+//   --dir/--netgen/--seed/--threads/--mode/--max-buffers/--segment
 //   --trace/--trace-level/--metrics
 //                     as for `batch` (the trace covers both the optimize
 //                     and the verify pass)
@@ -127,7 +124,7 @@ int usage(const char* argv0) {
                "[--golden] [--library FILE] [-o out.net]\n"
                "       %s batch (--dir DIR | --netgen N) [--seed S] "
                "[--threads T] [--mode buffopt|delayopt] [--max-buffers K] "
-               "[--segment UM] [--stats] [--kernel fast|reference] "
+               "[--segment UM] [--stats] "
                "[--library FILE | --lib-size B [--lib-inverting F]] "
                "[--trace FILE] [--trace-level phase|detail] "
                "[--metrics FILE]\n"
@@ -206,7 +203,6 @@ struct BatchArgs {
   std::size_t max_buffers = 24;
   double segment = 500.0;
   bool stats = false;
-  std::string kernel = "fast";
   std::string library_path;          // .lib file (empty = default/ladder)
   std::size_t lib_size = 0;          // >0: synthetic ladder of this size
   double lib_inverting = 0.45;       // ladder inverter fraction
@@ -272,10 +268,6 @@ bool parse_batch_args(int argc, char** argv, BatchArgs& args,
       if (!parse_number(value(), "--segment", args.segment)) return false;
     } else if (a == "--stats") {
       args.stats = true;
-    } else if (a == "--kernel") {
-      const char* v = value();
-      if (!v) return false;
-      args.kernel = v;
     } else if (a == "--library") {
       const char* v = value();
       if (!v) return false;
@@ -303,7 +295,6 @@ bool parse_batch_args(int argc, char** argv, BatchArgs& args,
     }
   }
   if (args.mode != "buffopt" && args.mode != "delayopt") return false;
-  if (args.kernel != "fast" && args.kernel != "reference") return false;
   if (args.trace_level != "phase" && args.trace_level != "detail") {
     std::fprintf(stderr, "--trace-level must be phase or detail\n");
     return false;
@@ -367,9 +358,6 @@ batch::BatchOptions engine_options(const BatchArgs& args) {
                                     : batch::BatchMode::DelayOpt;
   opt.max_buffers = args.max_buffers;
   opt.tool.segmenting.max_segment_length = args.segment;
-  opt.tool.vg.kernel = args.kernel == "reference"
-                           ? core::VgKernel::Reference
-                           : core::VgKernel::Fast;
   return opt;
 }
 
