@@ -1,8 +1,8 @@
 // Structure-of-arrays candidate storage for the fast Van Ginneken kernel.
 //
-// The fast kernel's hot loops — the fused dead+Pareto prune, the lazy
-// wire-offset flush, and the bucket-major merge — each stream over ONE
-// field of every candidate at a time. The pooled AoS lists
+// The fast kernel's list steps — the wire update, the fused dead+Pareto
+// prune, and the two-list merge — each stream over ONE field of every
+// candidate at a time. The pooled AoS lists
 // (std::vector<VgCand>, 48-byte elements) made every such sweep strided;
 // an SoAList stores each DP field in its own contiguous lane inside one
 // 64-byte-aligned heap block:
@@ -10,7 +10,7 @@
 //   [ load | slack | current | noise_slack | dhat | plan(PlanRef, u32) ]
 //
 // with every lane start rounded up to the 64-byte alignment, so the sweeps
-// of core/soa_sweeps.hpp are unit-stride, branch-light, and vectorizable.
+// of core/soa_sweeps.hpp are unit-stride.
 // Blocks are recycled whole through SoAPool, so steady-state DP makes no
 // allocator calls. CandSpan is the read view the best-predecessor scan
 // and the structural verifiers consume.

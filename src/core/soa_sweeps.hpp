@@ -1,6 +1,6 @@
-// The branch-light lane sweeps of the fast Van Ginneken kernel's three hot
-// loops (fused dead+Pareto prune, lazy wire-offset flush, bucket-major
-// merge), factored out of vanginneken_fast.cpp so tests/test_soa_kernel can
+// The lane sweeps of the fast Van Ginneken kernel's three list steps (wire
+// update, fused dead+Pareto prune, two-list merge) plus the permutation
+// gather, factored out of vanginneken_fast.cpp so tests/test_soa_kernel can
 // drive them directly over the tail-loop regression corpus.
 //
 // Every loop here performs the reference kernel's exact IEEE operations per
@@ -14,14 +14,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "core/soa.hpp"
 
 namespace nbuf::core::detail::soa {
 
-// One lazy wire offset materialized over a whole list: the reference
-// kernel's exact per-candidate expressions (vanginneken.cpp extend_wire),
+// One unsized wire extension over a whole list: the reference kernel's
+// exact per-candidate expressions (vanginneken.cpp extend_wire),
 // elementwise over the lanes.
 inline void apply_wire(SoAList& l, const double res, const double cap,
                        const double coupling) {
@@ -89,19 +88,31 @@ inline PruneResult prune_sweep(SoAList& l, bool noise) {
   return r;
 }
 
-// Sequential skeleton of the Van Ginneken two-list merge: walks the two
-// slack lanes with the reference kernel's exact advance rule (the side
-// whose slack binds advances; both on an exact tie) and records the index
-// pairs. The lane arithmetic is done afterwards by merge_fill.
-inline std::size_t emit_pairs(const CandSpan& a, const CandSpan& b,
-                              std::vector<std::uint32_t>& ia,
-                              std::vector<std::uint32_t>& jb) {
-  ia.clear();
-  jb.clear();
-  std::size_t i = 0, j = 0;
+// The Van Ginneken two-list merge of a and b, appended to dst in one pass:
+// walks the two slack lanes with the reference kernel's exact advance rule
+// (the side whose slack binds advances; both on an exact tie) and writes
+// each pair's combination — sum / min / sum / min / max, the reference
+// kernel's exact expressions — and its arena.merge plan in walk order.
+// Returns the number of candidates appended (at most a.n + b.n - 1).
+inline std::size_t merge_sweep(const CandSpan& a, const CandSpan& b,
+                               PlanArena& arena, SoAList& dst) {
+  const std::size_t base = dst.size();
+  dst.reserve(base + a.n + b.n);
+  double* load = dst.load();
+  double* slack = dst.slack();
+  double* current = dst.current();
+  double* noise_slack = dst.noise_slack();
+  double* dhat = dst.dhat();
+  PlanRef* plan = dst.plan();
+  std::size_t i = 0, j = 0, o = base;
   while (i < a.n && j < b.n) {
-    ia.push_back(static_cast<std::uint32_t>(i));
-    jb.push_back(static_cast<std::uint32_t>(j));
+    load[o] = a.load[i] + b.load[j];
+    slack[o] = std::min(a.slack[i], b.slack[j]);
+    current[o] = a.current[i] + b.current[j];
+    noise_slack[o] = std::min(a.noise_slack[i], b.noise_slack[j]);
+    dhat[o] = std::max(a.dhat[i], b.dhat[j]);
+    plan[o] = arena.merge(a.plan[i], b.plan[j]);
+    ++o;
     if (a.slack[i] < b.slack[j]) {
       ++i;
     } else if (b.slack[j] < a.slack[i]) {
@@ -111,33 +122,8 @@ inline std::size_t emit_pairs(const CandSpan& a, const CandSpan& b,
       ++j;
     }
   }
-  return ia.size();
-}
-
-// Elementwise body of the merge: appends the m paired combinations to dst's
-// value lanes in one pass (sum / min / min / max — the reference
-// kernel's exact expressions). The plan lane of the appended range is NOT
-// filled here — arena allocation is sequential and stays with the caller.
-inline void merge_fill(const CandSpan& a, const CandSpan& b,
-                       const std::uint32_t* ia, const std::uint32_t* jb,
-                       std::size_t m, SoAList& dst) {
-  const std::size_t base = dst.size();
-  dst.reserve(base + m);
-  dst.set_size(base + m);
-  double* load = dst.load() + base;
-  double* slack = dst.slack() + base;
-  double* current = dst.current() + base;
-  double* noise_slack = dst.noise_slack() + base;
-  double* dhat = dst.dhat() + base;
-  for (std::size_t o = 0; o < m; ++o) {
-    const std::uint32_t i = ia[o];
-    const std::uint32_t j = jb[o];
-    load[o] = a.load[i] + b.load[j];
-    slack[o] = std::min(a.slack[i], b.slack[j]);
-    current[o] = a.current[i] + b.current[j];
-    noise_slack[o] = std::min(a.noise_slack[i], b.noise_slack[j]);
-    dhat[o] = std::max(a.dhat[i], b.dhat[j]);
-  }
+  dst.set_size(o);
+  return o - base;
 }
 
 // Reorders src by the index permutation `perm` into dst (cleared first) —

@@ -48,10 +48,9 @@ enum class VgKernel {
   // Li & Shi-style kernel: candidate lists keep the (load asc, slack desc)
   // sort invariant across wire extension, merge, and buffer insertion, so
   // pruning is one linear scan (std::sort only runs when the invariant is
-  // genuinely broken, i.e. the wire-sizing fork path); unsized wire
-  // extension is recorded as a per-node lazy offset and materialized fused
-  // with the next prune; buffer insertion reads per-bucket views instead of
-  // deep-copying the lists; candidate-list buffers are pooled per run.
+  // genuinely broken, i.e. the wire-sizing fork path); buffer insertion
+  // reads per-bucket views instead of deep-copying the lists;
+  // candidate-list buffers are pooled per run.
   Fast,
   // The original seed implementation: re-sorts every list on every prune
   // and snapshots all lists at each buffer-insertion node.

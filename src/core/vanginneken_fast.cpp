@@ -1,8 +1,7 @@
 // The fast Van Ginneken kernel (default; see VgKernel::Fast).
 //
-// Four structural observations make the seed kernel's per-prune std::sort,
-// per-candidate wire updates, per-node deep copies, and strided candidate
-// traffic unnecessary:
+// Three structural observations make the seed kernel's per-prune std::sort,
+// per-node deep copies, and strided candidate traffic unnecessary:
 //
 //  1. Sort invariant. Every prune leaves its list sorted by (load asc,
 //     slack desc) and — with dominance pruning on — strictly ascending in
@@ -17,15 +16,7 @@
 //     wire-sizing fork path, where one candidate forks into one variant per
 //     width (Li & Shi, PAPERS.md).
 //
-//  2. Lazy wire offsets. An unsized wire extension is the same affine map
-//     for every candidate of every one of the 2*(max_buffers+1) lists of a
-//     node. extend_wire records the wire in O(1) per node; the update is
-//     materialized ("flushed") fused into the very next prune scan — the
-//     same arithmetic expressions in the same order as the eager kernel, so
-//     results stay bit-identical, but the separate write pass and the sort
-//     disappear.
-//
-//  3. Select, collect, fuse. Buffer insertion must read only
+//  2. Select, collect, fuse. Buffer insertion must read only
 //     pre-insertion candidates (one buffer per node); the reference kernel
 //     deep-copies all lists. Here every (bucket, type) best predecessor is
 //     selected first and only recorded — a 32-byte BufferRecord in its
@@ -35,22 +26,20 @@
 //     drops records dominated at birth, prunes, and allocates plan cells
 //     for the surviving records only.
 //
-//  4. Structure-of-arrays lanes. Candidate lists live in SoA blocks
+//  3. Structure-of-arrays lanes. Candidate lists live in SoA blocks
 //     (core/soa.hpp): one contiguous aligned lane per DP field plus a
-//     32-bit plan-ref lane. The hot loops — the fused dead+Pareto prune,
-//     the wire-offset flush, and the bucket-major merge — stream one lane
-//     at a time as the branch-light sweeps of core/soa_sweeps.hpp.
-//     Order-dependent work — full sorts, cascaded run merges — runs over
-//     32-bit index permutations with ONE gather per lane at the end instead
-//     of repeatedly moving 48-byte structs.
+//     32-bit plan-ref lane. The wire update, the fused dead+Pareto prune
+//     and the two-list merge stream over the lanes as the plain sweeps of
+//     core/soa_sweeps.hpp. A full sort runs over a 32-bit index
+//     permutation with ONE gather per lane at the end instead of
+//     repeatedly moving 48-byte structs.
 //
 // Candidate blocks are recycled whole through a per-run core::SoAPool, so
 // steady-state DP makes no allocator calls. Plans live in the caller's
 // PlanArena.
 //
 // With a SubtreeMemo (core::IncrementalContext), process(v) serves valid
-// nodes from the memo and stores every node it recomputes, flushed first:
-// each list sees the same apply+prune sequence as at the parent's flush.
+// nodes from the memo and stores every node it recomputes.
 //
 // The kernel assumes dominance pruning (VgOptions::prune_candidates):
 // core::optimize sends the unpruned ablation to the reference kernel.
@@ -77,7 +66,7 @@ namespace {
 
 // Candidate lists of one node in SoA form: [phase][buffer count], the SoA
 // mirror of NodeLists.
-struct SoANodeLists {
+struct Lists {
   std::array<std::vector<SoAList>, 2> by_phase;
 
   [[nodiscard]] std::size_t total_size() const noexcept {
@@ -115,23 +104,14 @@ class FastVgRun {
   VgResult run();
 
  private:
-  // Node state: materialized candidate lists plus the wires whose affine
-  // update has been recorded but not yet applied (in root-ward order).
-  struct Lists {
-    SoANodeLists node;
-    std::vector<const rct::Wire*> pending;
-  };
-
   Lists process(rct::NodeId v);
   Lists compute(rct::NodeId v);
   void store(const Lists& lists, SubtreeMemo::Node& node) const;
   Lists restore(const SubtreeMemo::Node& node);
-  void flush(Lists& lists);
   void extend_wire(Lists& lists, rct::NodeId child);
   void insert_buffers(Lists& lists, rct::NodeId v);
   Lists merge(Lists l, Lists r);
 
-  void apply_wire_and_prune(SoAList& list, const rct::Wire& w);
   void prune(SoAList& list, bool known_sorted);
   void sort_list(SoAList& list);
   void merge_runs(SoAList& list);
@@ -154,7 +134,6 @@ class FastVgRun {
   SoAPool pool_;
   SoAList scratch_;                       // gather target, swapped back
   std::vector<std::uint32_t> perm_;       // index-permutation scratch
-  std::vector<std::uint32_t> ia_, jb_;    // merge pair indices
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
   // insert_buffers' fresh candidates, [phase][count] of their target.
   std::array<std::vector<std::vector<BufferRecord>>, 2> tails_;
@@ -169,9 +148,7 @@ class FastVgRun {
 void FastVgRun::prune(SoAList& list, bool known_sorted) {
   NBUF_TRACE_DETAIL_TAGGED("vg.prune", list.size());
   ++stats_.prune_calls;
-  if (known_sorted) {
-    ++stats_.prune_sorts_skipped;
-  } else {
+  if (!known_sorted) {
     sort_list(list);
     ++stats_.prune_sorts;
   }
@@ -249,52 +226,30 @@ void FastVgRun::merge_runs(SoAList& list) {
   }
 }
 
-// Materializes one lazy wire offset: the exact per-candidate expressions of
-// the reference kernel as one elementwise lane sweep (soa::apply_wire). The
-// affine map preserves load order, so sortedness is re-checked afterwards
-// over the updated lanes — the same neighbor pairs the AoS kernel compared
-// during its scan — and a violation (only possible through floating-point
-// rounding collisions) falls back to the sorting prune.
-void FastVgRun::apply_wire_and_prune(SoAList& list, const rct::Wire& w) {
-  ++stats_.offset_flushes;
-  stats_.soa_flush_elems += list.size();
-  soa::apply_wire(list, w.resistance, w.capacitance, w.coupling_current);
-  prune(list, list_is_sorted(list));
-}
-
-// Applies every pending wire, oldest first, pruning after each exactly as
-// the reference kernel prunes after each extend_wire (under noise
-// constraints the intermediate prunes are semantically load-bearing: a
-// dominated candidate may only be discarded while its dominator is alive).
-void FastVgRun::flush(Lists& lists) {
-  if (lists.pending.empty()) return;
-  NBUF_TRACE_DETAIL_TAGGED("vg.wire_offset", lists.pending.size());
-  for (const rct::Wire* w : lists.pending) {
-    for (auto& phase_lists : lists.node.by_phase) {
-      for (SoAList& list : phase_lists) {
-        if (list.empty()) continue;
-        apply_wire_and_prune(list, *w);
-      }
-    }
-  }
-  lists.pending.clear();
-}
-
 void FastVgRun::extend_wire(Lists& lists, rct::NodeId child) {
   const rct::Wire& w = tree_.node(child).parent_wire;
   if (w.length <= 0.0 && w.resistance <= 0.0 && w.capacitance <= 0.0)
     return;  // binarization dummy
+  NBUF_TRACE_DETAIL_TAGGED("vg.wire", lists.total_size());
   if (!sizing_) {
-    // Lazy: O(1) per node. Materialized fused with the next prune.
-    lists.pending.push_back(&w);
+    // The reference kernel's per-candidate expressions as one lane sweep,
+    // then the prune. The affine map preserves load order, so sortedness
+    // is re-checked over the updated lanes; a violation (only possible
+    // through floating-point rounding collisions) falls back to the
+    // sorting prune.
+    for (auto& phase_lists : lists.by_phase) {
+      for (SoAList& list : phase_lists) {
+        if (list.empty()) continue;
+        soa::apply_wire(list, w.resistance, w.capacitance, w.coupling_current);
+        prune(list, list_is_sorted(list));
+      }
+    }
     return;
   }
   // Simultaneous wire sizing: every candidate forks into one variant per
   // width (Lillis). The fork interleaves loads, so this is the one path
   // where the sort invariant genuinely breaks and prune must sort.
-  NBUF_ASSERT(lists.pending.empty());
-  NBUF_TRACE_DETAIL_TAGGED("vg.wire", lists.node.total_size());
-  for (auto& phase_lists : lists.node.by_phase) {
+  for (auto& phase_lists : lists.by_phase) {
     for (SoAList& list : phase_lists) {
       if (list.empty()) continue;
       SoAList expanded = pool_.acquire();
@@ -339,19 +294,13 @@ void FastVgRun::extend_wire(Lists& lists, rct::NodeId child) {
 // snapshot. Bucket-major: each (phase, count) view is scanned once per type
 // while its lanes are hot.
 void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
-  flush(lists);
-  // Offset-flush invariant: buffer insertion must read fully materialized
-  // candidates — a pending wire here would mean the views below are stale.
-  NBUF_ASSERT_MSG(lists.pending.empty(),
-                  "lazy wire offsets must be flushed before insert_buffers");
-  NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.node.total_size());
-  stats_.snapshot_cands_avoided += lists.node.total_size();
+  NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.total_size());
   const std::size_t bucket_count = opt_.max_buffers + 1;
   const auto cost_of = [&](lib::BufferId id) -> std::size_t {
     return opt_.buffer_costs.empty() ? 1 : opt_.buffer_costs[id.value()];
   };
   for (int in_phase = 0; in_phase < 2; ++in_phase) {
-    const auto& buckets = lists.node.by_phase[in_phase];
+    const auto& buckets = lists.by_phase[in_phase];
     for (std::size_t k = 0; k + min_cost_ < bucket_count; ++k) {
       const CandSpan view = buckets[k].span();
       if (view.n == 0) continue;
@@ -385,7 +334,7 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
     for (std::size_t k = 0; k < bucket_count; ++k) {
       std::vector<BufferRecord>& tail = tails_[phase][k];
       if (tail.empty()) continue;
-      SoAList& list = lists.node.by_phase[phase][k];
+      SoAList& list = lists.by_phase[phase][k];
       const FuseCounts c =
           fuse_buffer_tail(list, tail.data(), tail.size(), v,
                            opt_.noise_constraints, arena_, scratch_);
@@ -394,7 +343,6 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
       if (c.passed == 0) continue;  // untouched: still Pareto-sorted
       // The pass ends in the prune of a bucket that gained candidates.
       ++stats_.prune_calls;
-      ++stats_.prune_sorts_skipped;
       stats_.pruned_infeasible += c.dead;
       stats_.pruned_inferior += c.inferior;
       if (c.dead + c.inferior == 0) ++stats_.soa_prunes_no_move;
@@ -406,46 +354,31 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
 }
 
 void FastVgRun::release_lists(Lists& lists) {
-  for (auto& phase_lists : lists.node.by_phase)
+  for (auto& phase_lists : lists.by_phase)
     for (SoAList& list : phase_lists) pool_.release(std::move(list));
 }
 
-FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
-  flush(l);
-  flush(r);
-  NBUF_ASSERT_MSG(l.pending.empty() && r.pending.empty(),
-                  "lazy wire offsets must be flushed before merge");
-  NBUF_TRACE_DETAIL_TAGGED("vg.merge",
-                           l.node.total_size() + r.node.total_size());
+Lists FastVgRun::merge(Lists l, Lists r) {
+  NBUF_TRACE_DETAIL_TAGGED("vg.merge", l.total_size() + r.total_size());
   const std::size_t kmax = opt_.max_buffers;
   Lists out;
-  for (auto& pl : out.node.by_phase) pl.resize(kmax + 1);
+  for (auto& pl : out.by_phase) pl.resize(kmax + 1);
   // Output-bucket-major so all (kl, kr) contributions to one bucket are
   // consecutive: each contribution is one sorted run (the Van Ginneken
   // linear merge emits loads in ascending order), and the runs fold back
   // into one sorted list without a sort.
   for (int phase = 0; phase < 2; ++phase) {
     for (std::size_t ks = 0; ks <= kmax; ++ks) {
-      SoAList& dst = out.node.by_phase[phase][ks];
+      SoAList& dst = out.by_phase[phase][ks];
       run_bounds_.clear();
       for (std::size_t kl = 0; kl <= ks; ++kl) {
-        const SoAList& a = l.node.by_phase[phase][kl];
+        const SoAList& a = l.by_phase[phase][kl];
         if (a.empty()) continue;
-        const SoAList& b = r.node.by_phase[phase][ks - kl];
+        const SoAList& b = r.by_phase[phase][ks - kl];
         if (b.empty()) continue;
         if (dst.capacity() == 0) dst = pool_.acquire();
         run_bounds_.push_back(dst.size());
-        // Van Ginneken linear merge, split lane-wise: the sequential
-        // advance walk records index pairs, then one gather pass fills
-        // the value lanes and a second loop allocates the plan merges.
-        const CandSpan sa = a.span();
-        const CandSpan sb = b.span();
-        const std::size_t m = soa::emit_pairs(sa, sb, ia_, jb_);
-        const std::size_t base = dst.size();
-        soa::merge_fill(sa, sb, ia_.data(), jb_.data(), m, dst);
-        PlanRef* dp = dst.plan() + base;
-        for (std::size_t o = 0; o < m; ++o)
-          dp[o] = arena_.merge(sa.plan[ia_[o]], sb.plan[jb_[o]]);
+        const std::size_t m = soa::merge_sweep(a.span(), b.span(), arena_, dst);
         note_created(m);
         stats_.merged += m;
       }
@@ -463,7 +396,7 @@ FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
   return out;
 }
 
-FastVgRun::Lists FastVgRun::process(rct::NodeId v) {
+Lists FastVgRun::process(rct::NodeId v) {
   if (memo_ == nullptr) return compute(v);
   SubtreeMemo::Node& cached = memo_->nodes[v.value()];
   if (cached.valid) {
@@ -471,22 +404,19 @@ FastVgRun::Lists FastVgRun::process(rct::NodeId v) {
     return restore(cached);
   }
   Lists lists = compute(v);
-  // Nothing cached may point into the tree: a later split_wire can
-  // reallocate the node storage the pending rct::Wire pointers address.
-  flush(lists);
   store(lists, cached);
   ++memo_->recomputed;
   return lists;
 }
 
 void FastVgRun::store(const Lists& lists, SubtreeMemo::Node& node) const {
-  const std::size_t total = lists.node.total_size();
+  const std::size_t total = lists.total_size();
   node.offsets.clear();
   node.values.clear();
   node.values.reserve(5 * total);
   node.plans.clear();
   node.plans.reserve(total);
-  for (const auto& phase_lists : lists.node.by_phase) {
+  for (const auto& phase_lists : lists.by_phase) {
     for (const SoAList& list : phase_lists) {
       node.offsets.push_back(static_cast<std::uint32_t>(node.plans.size()));
       const CandSpan s = list.span();
@@ -500,10 +430,10 @@ void FastVgRun::store(const Lists& lists, SubtreeMemo::Node& node) const {
   node.valid = true;
 }
 
-FastVgRun::Lists FastVgRun::restore(const SubtreeMemo::Node& node) {
+Lists FastVgRun::restore(const SubtreeMemo::Node& node) {
   Lists lists;
   std::size_t b = 0;
-  for (auto& phase_lists : lists.node.by_phase) {
+  for (auto& phase_lists : lists.by_phase) {
     phase_lists.resize(opt_.max_buffers + 1);
     for (SoAList& list : phase_lists) {
       const std::size_t at = node.offsets[b];
@@ -524,15 +454,15 @@ FastVgRun::Lists FastVgRun::restore(const SubtreeMemo::Node& node) {
   return lists;
 }
 
-FastVgRun::Lists FastVgRun::compute(rct::NodeId v) {
+Lists FastVgRun::compute(rct::NodeId v) {
   const rct::Node& n = tree_.node(v);
 
   if (n.kind == rct::NodeKind::Sink) {
     Lists lists;
-    for (auto& pl : lists.node.by_phase) pl.resize(opt_.max_buffers + 1);
+    for (auto& pl : lists.by_phase) pl.resize(opt_.max_buffers + 1);
     const rct::SinkInfo& si = tree_.sink(n.sink);
     SoAList& seedlist =
-        lists.node.by_phase[si.require_inverted ? 1 : 0][0];
+        lists.by_phase[si.require_inverted ? 1 : 0][0];
     seedlist = pool_.acquire();
     seedlist.push_back(si.cap, si.required_arrival, 0.0, si.noise_margin,
                        0.0, kNullPlan);
@@ -563,11 +493,6 @@ VgResult FastVgRun::run() {
     memo_->recomputed = 0;
   }
   Lists at_source = process(tree_.source());
-  // The source keeps no pending wires in the reference kernel; flush so the
-  // driver fold reads materialized, pruned lists.
-  flush(at_source);
-  NBUF_ASSERT_MSG(at_source.pending.empty(),
-                  "lazy wire offsets must be flushed before the driver fold");
   stats_.pool_reuses = pool_.reuses();
   // Materialize the source lists as AoS NodeLists for the shared driver
   // fold (finalize is common to both kernels) — a one-time conversion
@@ -576,7 +501,7 @@ VgResult FastVgRun::run() {
   for (int phase = 0; phase < 2; ++phase) {
     node.by_phase[phase].resize(opt_.max_buffers + 1);
     for (std::size_t k = 0; k <= opt_.max_buffers; ++k) {
-      const CandSpan s = at_source.node.by_phase[phase][k].span();
+      const CandSpan s = at_source.by_phase[phase][k].span();
       CandList& out = node.by_phase[phase][k];
       out.reserve(s.n);
       for (std::size_t i = 0; i < s.n; ++i)

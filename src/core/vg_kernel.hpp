@@ -236,15 +236,14 @@ FuseCounts fuse_buffer_tail(SoAList& list, BufferRecord* recs, std::size_t t,
                             PlanArena& arena, SoAList& scratch);
 
 // Per-node memo of the fast kernel, the engine of core::IncrementalContext:
-// nodes[v] holds the lists process(v) returned, every lazy wire flushed —
-// the exact values a cold run computes, and a pure function of subtree(v).
+// nodes[v] holds the lists process(v) returned — the exact values a cold
+// run computes, and a pure function of subtree(v).
 // Each node is one packed block: bucket b (phase-major, then count) holds
 // its n = offsets[b+1] - offsets[b] candidates as five n-long value lanes
 // (load, slack, current, noise_slack, dhat) from values[5 * offsets[b]],
 // and plan refs from plans[offsets[b]] — 44 bytes per candidate, with
 // none of an SoAList's 64-byte lane padding. Plan refs index the caching
-// run's arena, which must outlive the memo; no rct::Wire pointer is kept,
-// so a split_wire that reallocates tree storage cannot dangle one.
+// run's arena, which must outlive the memo.
 struct SubtreeMemo {
   struct Node {
     std::vector<std::uint32_t> offsets;  // 2 * (max_buffers + 1) + 1

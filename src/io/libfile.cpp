@@ -117,11 +117,4 @@ void write_library(std::ostream& out, const std::string& name,
   }
 }
 
-void write_library_file(const std::string& path, const std::string& name,
-                        const lib::BufferLibrary& library) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for write");
-  write_library(out, name, library);
-}
-
 }  // namespace nbuf::io

@@ -34,7 +34,5 @@ struct LibFile {
 
 void write_library(std::ostream& out, const std::string& name,
                    const lib::BufferLibrary& library);
-void write_library_file(const std::string& path, const std::string& name,
-                        const lib::BufferLibrary& library);
 
 }  // namespace nbuf::io

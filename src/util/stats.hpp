@@ -31,12 +31,8 @@ struct VgStats {
   // candidate list sorted by (load asc, slack desc) across wire extension,
   // merge and buffer insertion, so pruning is normally one linear scan;
   // these record how often the sort actually had to run.
-  std::size_t prune_calls = 0;          // prune passes over a list
-  std::size_t prune_sorts = 0;          // passes that had to std::sort
-  std::size_t prune_sorts_skipped = 0;  // served by the sorted fast path
-  std::size_t offset_flushes = 0;       // lazy wire offsets materialized
-  std::size_t snapshot_cands_avoided = 0;  // candidates NOT deep-copied at
-                                           // buffer insertion (read views)
+  std::size_t prune_calls = 0;  // prune passes over a list
+  std::size_t prune_sorts = 0;  // passes that had to std::sort
   std::size_t pool_reuses = 0;  // candidate-list blocks recycled (pool)
   // Best-predecessor counters (fast kernel). The insertion step scans each
   // nonempty (phase, count) bucket once per buffer type for its best
@@ -46,11 +42,8 @@ struct VgStats {
   std::size_t bp_prune_calls = 0;        // buckets scanned for insertion
   std::size_t bp_candidates_killed = 0;  // infeasible for every type
   std::size_t lib_types = 0;             // buffer-library size seen (max)
-  // SoA-layout counters (fast kernel, PR 10). Candidate lists live in
-  // structure-of-arrays lane blocks (core/soa.hpp); these describe how
-  // that layout behaved.
-  std::size_t soa_flush_elems = 0;     // candidates updated by wire
-                                       // flushes (width = /offset_flushes)
+  // SoA-layout counter (fast kernel): candidate lists live in
+  // structure-of-arrays lane blocks (core/soa.hpp).
   std::size_t soa_prunes_no_move = 0;  // prunes that killed nothing and
                                        // skipped compaction entirely
 
@@ -89,14 +82,6 @@ inline constexpr VgStatsField kVgStatsFields[] = {
      VgStatsField::Metric::Counter, "vg.prune_calls"},
     {"prune_sorts", &VgStats::prune_sorts, VgStatsField::Agg::Sum,
      VgStatsField::Metric::Counter, "vg.prune_sorts"},
-    {"prune_sorts_skipped", &VgStats::prune_sorts_skipped,
-     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
-     "vg.prune_sorts_skipped"},
-    {"offset_flushes", &VgStats::offset_flushes, VgStatsField::Agg::Sum,
-     VgStatsField::Metric::Counter, "vg.offset_flushes"},
-    {"snapshot_cands_avoided", &VgStats::snapshot_cands_avoided,
-     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
-     "vg.snapshot_cands_avoided"},
     {"pool_reuses", &VgStats::pool_reuses, VgStatsField::Agg::Sum,
      VgStatsField::Metric::Counter, "vg.pool_reuses"},
     {"bp_prune_calls", &VgStats::bp_prune_calls, VgStatsField::Agg::Sum,
@@ -106,8 +91,6 @@ inline constexpr VgStatsField kVgStatsFields[] = {
      "vg.bp_candidates_killed"},
     {"lib_types", &VgStats::lib_types, VgStatsField::Agg::Max,
      VgStatsField::Metric::Gauge, "lib.types"},
-    {"soa_flush_elems", &VgStats::soa_flush_elems, VgStatsField::Agg::Sum,
-     VgStatsField::Metric::Counter, "vg.soa_flush_elems"},
     {"soa_prunes_no_move", &VgStats::soa_prunes_no_move,
      VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
      "vg.soa_prunes_no_move"},

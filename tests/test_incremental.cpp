@@ -1,13 +1,10 @@
-// Incremental Devgan noise queries vs full re-analysis, and the
-// core::IncrementalContext re-optimization cache vs cold full DP runs.
+// The core::IncrementalContext re-optimization cache vs cold full DP runs.
 #include <gtest/gtest.h>
 
 #include "common/test_nets.hpp"
 #include "core/incremental.hpp"
 #include "core/vanginneken.hpp"
 #include "lib/wire.hpp"
-#include "noise/devgan.hpp"
-#include "noise/incremental.hpp"
 #include "seg/segment.hpp"
 #include "steiner/steiner.hpp"
 #include "util/rng.hpp"
@@ -21,10 +18,9 @@ using test::default_sink;
 
 const lib::BufferLibrary kLib = lib::default_library();
 
-rct::RoutingTree random_net(util::Rng& rng, int sinks = 0,
-                            double max_span = 9000.0) {
-  if (sinks == 0) sinks = rng.uniform_int(2, 10);
-  const double span = rng.uniform(max_span / 3.0, max_span);
+rct::RoutingTree random_net(util::Rng& rng) {
+  const int sinks = rng.uniform_int(2, 10);
+  const double span = rng.uniform(7000.0 / 3.0, 7000.0);
   std::vector<steiner::PinSpec> pins;
   for (int i = 0; i < sinks; ++i) {
     steiner::PinSpec p;
@@ -35,193 +31,6 @@ rct::RoutingTree random_net(util::Rng& rng, int sinks = 0,
   }
   return steiner::build_tree({0, 0}, default_driver(rng.uniform(60, 350)),
                              pins, lib::default_technology());
-}
-
-// Naive LCA through parent chains.
-rct::NodeId naive_lca(const rct::RoutingTree& t, rct::NodeId a,
-                      rct::NodeId b) {
-  std::vector<rct::NodeId> pa;
-  for (rct::NodeId c = a; c.valid(); c = t.node(c).parent) pa.push_back(c);
-  for (rct::NodeId c = b; c.valid(); c = t.node(c).parent)
-    for (rct::NodeId x : pa)
-      if (x == c) return c;
-  return t.source();
-}
-
-TEST(Incremental, MatchesDevganOnFig3) {
-  const auto f = test::fig3_net(100.0);
-  const noise::IncrementalNoise inc(f.tree);
-  EXPECT_NEAR(inc.current(f.n), 50 * uA, 1e-12);
-  EXPECT_NEAR(inc.noise(f.s1), 19.0 * mV, 1e-9);
-  EXPECT_NEAR(inc.noise(f.s2), 17.5 * mV, 1e-9);
-  EXPECT_NEAR(inc.noise_slack(f.n), 0.8 - 3.0 * mV, 1e-9);
-  EXPECT_NEAR(inc.upstream_resistance(f.s1), 100.0 + 100.0 + 200.0, 1e-9);
-}
-
-TEST(Incremental, MatchesDevganEverywhereOnRandomNets) {
-  util::Rng rng(909);
-  for (int trial = 0; trial < 8; ++trial) {
-    auto t = random_net(rng);
-    const noise::IncrementalNoise inc(t);
-    const auto slacks = noise::noise_slacks(t);
-    const auto stages =
-        rct::decompose(t, rct::BufferAssignment{}, lib::BufferLibrary{});
-    const auto nz = noise::stage_noise(t, stages[0]);
-    const auto cur = noise::stage_currents(t, stages[0]);
-    for (auto id : t.preorder()) {
-      EXPECT_NEAR(inc.noise(id), nz.at(id), 1e-12) << trial;
-      EXPECT_NEAR(inc.current(id), cur.at(id), 1e-15) << trial;
-      EXPECT_NEAR(inc.noise_slack(id), slacks.at(id), 1e-12) << trial;
-    }
-  }
-}
-
-TEST(Incremental, LcaMatchesNaive) {
-  util::Rng rng(911);
-  for (int trial = 0; trial < 6; ++trial) {
-    auto t = random_net(rng);
-    const noise::IncrementalNoise inc(t);
-    const auto nodes = t.preorder();
-    for (int q = 0; q < 60; ++q) {
-      const auto a = nodes[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(nodes.size()) - 1))];
-      const auto b = nodes[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(nodes.size()) - 1))];
-      EXPECT_EQ(inc.lca(a, b), naive_lca(t, a, b));
-    }
-  }
-}
-
-TEST(Incremental, CommonResistanceMatchesPathWalk) {
-  util::Rng rng(912);
-  auto t = random_net(rng, 6);
-  const noise::IncrementalNoise inc(t);
-  for (const auto& sa : t.sinks()) {
-    for (const auto& sb : t.sinks()) {
-      const auto l = naive_lca(t, sa.node, sb.node);
-      double r = t.driver().resistance;
-      for (rct::NodeId c = l; c != t.source(); c = t.node(c).parent)
-        r += t.node(c).parent_wire.resistance;
-      EXPECT_NEAR(inc.common_resistance(sa.node, sb.node), r, 1e-9);
-    }
-  }
-}
-
-TEST(Incremental, DecoupledNoiseMatchesActualBufferPlacement) {
-  // Physically place a buffer at v and fully re-analyze: the O(1) formula
-  // must agree at the buffer input and at every outside sink. (Buffer input
-  // pins inject no current, so the metric sees exactly the decoupling.)
-  util::Rng rng(913);
-  for (int trial = 0; trial < 6; ++trial) {
-    auto t = random_net(rng);
-    const noise::IncrementalNoise inc(t);
-    for (auto v : t.preorder()) {
-      const auto& nd = t.node(v);
-      if (nd.kind != rct::NodeKind::Internal || !nd.buffer_allowed) continue;
-      rct::BufferAssignment a;
-      a.place(v, lib::BufferId{8});  // buf_x8
-      const auto rep = noise::analyze(t, a, kLib);
-      // Buffer input leaf.
-      for (const auto& leaf : rep.leaves)
-        if (leaf.is_buffer_input && leaf.node == v) {
-          EXPECT_NEAR(inc.noise_with_subtree_decoupled(v, v), leaf.noise,
-                      1e-12);
-        }
-      // Outside sinks keep the driver as their restoring gate.
-      for (const auto& s : t.sinks()) {
-        bool inside = false;
-        for (rct::NodeId c = s.node; c.valid(); c = t.node(c).parent)
-          if (c == v) inside = true;
-        if (inside) continue;
-        EXPECT_NEAR(inc.noise_with_subtree_decoupled(s.node, v),
-                    rep.sinks[t.node(s.node).sink.value()].noise, 1e-12);
-      }
-    }
-  }
-}
-
-TEST(Incremental, DecoupledQueryRejectsInsideNodes) {
-  const auto f = test::fig3_net();
-  const noise::IncrementalNoise inc(f.tree);
-  EXPECT_THROW((void)inc.noise_with_subtree_decoupled(f.s1, f.n),
-               std::invalid_argument);
-}
-
-TEST(Incremental, SingleBufferFixesMatchesNaive) {
-  util::Rng rng(914);
-  int fixable_nets = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    // Small spans: a mix of clean, one-buffer-fixable and unfixable nets.
-    auto t = random_net(rng, rng.uniform_int(2, 4), 5000.0);
-    seg::segment(t, {500.0});  // mid-wire sites, so one buffer can suffice
-    const noise::IncrementalNoise inc(t);
-    const auto& b = kLib.at(lib::BufferId{10});  // buf_x24
-    bool any = false;
-    for (auto v : t.preorder()) {
-      const auto& nd = t.node(v);
-      if (nd.kind != rct::NodeKind::Internal || !nd.buffer_allowed) continue;
-      rct::BufferAssignment a;
-      a.place(v, lib::BufferId{10});
-      const bool naive = noise::analyze(t, a, kLib).clean();
-      EXPECT_EQ(inc.single_buffer_fixes(v, b.resistance, b.noise_margin),
-                naive)
-          << "trial " << trial << " node " << v;
-      any |= naive;
-    }
-    fixable_nets += any ? 1 : 0;
-  }
-  // The check must be exercised in both directions across the workload.
-  EXPECT_GT(fixable_nets, 0);
-  EXPECT_LT(fixable_nets, 10);
-}
-
-// Differential stress: the incremental structure is rebuilt after random
-// structural and electrical edits and must agree with full re-analysis at
-// every node, on 100+ distinct perturbed trees. Guards against any cached
-// quantity (currents, prefix resistances, Euler intervals, lifting tables)
-// silently assuming the generator's pristine output.
-TEST(Incremental, DifferentialAgainstFullRecomputeOnPerturbedTrees) {
-  util::Rng rng(20260807);
-  for (int trial = 0; trial < 120; ++trial) {
-    auto t = random_net(rng, 0, 7000.0);
-    const int edits = rng.uniform_int(1, 4);
-    for (int e = 0; e < edits; ++e)
-      (void)core::apply_perturbation(t, core::random_perturbation(rng, t));
-    t.validate();
-
-    const noise::IncrementalNoise inc(t);
-    const auto slacks = noise::noise_slacks(t);
-    const auto stages =
-        rct::decompose(t, rct::BufferAssignment{}, lib::BufferLibrary{});
-    ASSERT_EQ(stages.size(), 1u);
-    const auto nz = noise::stage_noise(t, stages[0]);
-    const auto cur = noise::stage_currents(t, stages[0]);
-    for (auto id : t.preorder()) {
-      ASSERT_NEAR(inc.noise(id), nz.at(id), 1e-12) << "trial " << trial;
-      ASSERT_NEAR(inc.current(id), cur.at(id), 1e-15) << "trial " << trial;
-      ASSERT_NEAR(inc.noise_slack(id), slacks.at(id), 1e-12)
-          << "trial " << trial;
-      // Upstream resistance against a naive parent-chain walk.
-      double r = t.driver().resistance;
-      for (rct::NodeId c = id; c != t.source(); c = t.node(c).parent)
-        r += t.node(c).parent_wire.resistance;
-      ASSERT_NEAR(inc.upstream_resistance(id), r, 1e-9)
-          << "trial " << trial;
-    }
-    // Spot-check the LCA-based shared resistance on a random node pair.
-    const auto order = t.preorder();
-    const auto pick = [&] {
-      return order[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(order.size()) - 1))];
-    };
-    const rct::NodeId a = pick(), b = pick();
-    const rct::NodeId l = naive_lca(t, a, b);
-    EXPECT_EQ(inc.lca(a, b), l) << "trial " << trial;
-    double rc = t.driver().resistance;
-    for (rct::NodeId c = l; c != t.source(); c = t.node(c).parent)
-      rc += t.node(c).parent_wire.resistance;
-    EXPECT_NEAR(inc.common_resistance(a, b), rc, 1e-9) << "trial " << trial;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +48,7 @@ core::VgOptions inc_options() {
 
 // inc_options() in six shapes, one per DP path the memo must carry
 // bit-identically: the BuffOpt default, the min-buffers objective, wire
-// sizing (the non-lazy fork/sort path), Lillis buffer costs, a finite slew
+// sizing (the fork/sort path), Lillis buffer costs, a finite slew
 // limit, and DelayOpt without noise constraints.
 core::VgOptions inc_variant(int which) {
   core::VgOptions opt = inc_options();
@@ -268,7 +77,7 @@ core::VgOptions inc_variant(int which) {
 }
 
 rct::RoutingTree random_dp_net(util::Rng& rng) {
-  auto t = random_net(rng, 0, 7000.0);
+  auto t = random_net(rng);
   t.binarize();
   seg::segment(t, {900.0});
   return t;
@@ -310,9 +119,8 @@ TEST(IncrementalContext, DifferentialAgainstColdRunOnPerturbedTrees) {
     const auto cold = core::optimize(ctx.tree(), kLib, opt);
     ASSERT_TRUE(core::same_solution(fast, cold))
         << "trial " << trial << " variant " << trial % 6;
-    // With no edit in between, the whole answer comes from the memo —
-    // including the source, the node whose own DP step leaves its child's
-    // wire offset pending, to be flushed before it is stored.
+    // With no edit in between, the whole answer comes from the memo,
+    // the source's lists included.
     ASSERT_TRUE(core::same_solution(ctx.optimize(), cold))
         << "trial " << trial << " re-run";
     EXPECT_EQ(ctx.stats().last_recomputed, 0u);
@@ -389,23 +197,6 @@ TEST(IncrementalContext, InvalidateAllForcesColdRun) {
   EXPECT_EQ(ctx.stats().last_recomputed, ctx.tree().node_count());
   EXPECT_TRUE(core::same_solution(first, again));
   EXPECT_EQ(ctx.stats().runs, 2u);
-}
-
-TEST(Incremental, DecouplingNeverIncreasesNoise) {
-  util::Rng rng(915);
-  auto t = random_net(rng);
-  const noise::IncrementalNoise inc(t);
-  for (auto v : t.preorder()) {
-    if (t.node(v).kind != rct::NodeKind::Internal) continue;
-    for (const auto& s : t.sinks()) {
-      bool inside = false;
-      for (rct::NodeId c = s.node; c.valid(); c = t.node(c).parent)
-        if (c == v) inside = true;
-      if (inside) continue;
-      EXPECT_LE(inc.noise_with_subtree_decoupled(s.node, v),
-                inc.noise(s.node) + 1e-15);
-    }
-  }
 }
 
 }  // namespace

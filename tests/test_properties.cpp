@@ -18,7 +18,6 @@
 #include "noise/devgan.hpp"
 #include "elmore/slew.hpp"
 #include "lib/wire.hpp"
-#include "noise/incremental.hpp"
 #include "noise/pulse.hpp"
 #include "core/vanginneken.hpp"
 #include "core/soa_sweeps.hpp"
@@ -303,15 +302,6 @@ TEST_P(ExtensionSweep, PulseWidthEstimateBracketsGolden) {
     EXPECT_GT(ratio, 0.4) << "sink " << i;
     EXPECT_LT(ratio, 4.0) << "sink " << i;
   }
-}
-
-TEST_P(ExtensionSweep, IncrementalMatchesAnalyzerOnRandomNets) {
-  auto t = seeded_net(GetParam());
-  const noise::IncrementalNoise inc(t);
-  const auto rep = noise::analyze_unbuffered(t);
-  for (const auto& s : t.sinks())
-    EXPECT_NEAR(inc.noise(s.node),
-                rep.sinks[t.node(s.node).sink.value()].noise, 1e-12);
 }
 
 // --- multi-library kernel properties (PR 6) ---------------------------------

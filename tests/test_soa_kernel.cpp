@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -151,6 +152,65 @@ void expect_lanes_identical(const core::SoAList& a, const core::SoAList& b) {
   EXPECT_EQ(std::memcmp(a.plan(), b.plan(), n * sizeof(core::PlanRef)), 0);
 }
 
+// A copy of `src` whose candidates carry distinct one-buffer plans in
+// `arena` (buffer type `tag` at node i), so merged plans compare by content.
+core::SoAList with_plans(const core::SoAList& src, core::PlanArena& arena,
+                         std::uint32_t tag) {
+  core::SoAList dst = copy_list(src);
+  for (std::size_t i = 0; i < dst.size(); ++i)
+    dst.plan()[i] = arena.buffer(
+        core::kNullPlan,
+        core::PlannedBuffer{rct::NodeId(static_cast<std::uint32_t>(i)), 0.0,
+                            lib::BufferId(tag)});
+  return dst;
+}
+
+// The Van Ginneken two-list merge as the paper states it: combine the
+// current pair, then advance every side whose slack is the binding
+// (smaller) one — both sides on a tie.
+core::SoAList naive_merge(const core::SoAList& a, const core::SoAList& b,
+                          core::PlanArena& arena) {
+  core::SoAList out;
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const double qa = a.slack()[i], qb = b.slack()[j];
+    const double q = std::min(qa, qb);
+    out.push_back(a.load()[i] + b.load()[j], q,
+                  a.current()[i] + b.current()[j],
+                  std::min(a.noise_slack()[i], b.noise_slack()[j]),
+                  std::max(a.dhat()[i], b.dhat()[j]),
+                  arena.merge(a.plan()[i], b.plan()[j]));
+    if (qa == q) ++i;
+    if (qb == q) ++j;
+  }
+  return out;
+}
+
+// Bitwise equality of got[from, ...) with want's value lanes, and content
+// equality of their plans through `arena`.
+void expect_merged_identical(const core::SoAList& got, std::size_t from,
+                             const core::SoAList& want,
+                             const core::PlanArena& arena) {
+  ASSERT_EQ(got.size(), from + want.size());
+  const std::size_t n = want.size();
+  if (n == 0) return;  // empty lists may hold null lanes; memcmp forbids them
+  const auto lanes = [](const core::SoAList& l) {
+    return std::array<const double*, 5>{l.load(), l.slack(), l.current(),
+                                        l.noise_slack(), l.dhat()};
+  };
+  const auto g = lanes(got), w = lanes(want);
+  for (std::size_t k = 0; k < g.size(); ++k)
+    EXPECT_EQ(std::memcmp(g[k] + from, w[k], n * sizeof(double)), 0)
+        << "lane " << k;
+  for (std::size_t o = 0; o < n; ++o) {
+    EXPECT_NE(got.plan()[from + o], core::kNullPlan) << "entry " << o;
+    EXPECT_EQ(core::detail::plan_compare(arena, got.plan()[from + o],
+                                         want.plan()[o]),
+              0)
+        << "entry " << o;
+  }
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(SoAKernel, DifferentialFuzzAgainstReferenceAcrossLibraries) {
@@ -176,16 +236,18 @@ TEST(SoAKernel, DifferentialFuzzAgainstReferenceAcrossLibraries) {
     }
   }
 
-  // The sweep must genuinely have exercised the SoA machinery: lazy wire
-  // flushes over lanes, recycled lane blocks, and converged lists where
+  // The sweep must genuinely have exercised the SoA machinery: sort-free
+  // prunes over lanes, recycled lane blocks, and converged lists where
   // the fused prune moved nothing.
-  EXPECT_GT(fast_total.soa_flush_elems, 0u);
+  EXPECT_LT(fast_total.prune_sorts, fast_total.prune_calls);
   EXPECT_GT(fast_total.pool_reuses, 0u);
   EXPECT_GT(fast_total.soa_prunes_no_move, 0u);
 }
 
 TEST(SoAKernel, TailLoopCorpusSweepsMatchNaiveSemantics) {
-  for (const std::size_t len : {0, 1, 2, 3, 4, 5, 7, 8, 9}) {
+  constexpr std::size_t kLens[] = {0, 1, 2, 3, 4, 5, 7, 8, 9};
+  for (std::size_t li = 0; li < std::size(kLens); ++li) {
+    const std::size_t len = kLens[li];
     SCOPED_TRACE("corpus len=" + std::to_string(len));
     const core::SoAList base = load_corpus(len);
 
@@ -231,28 +293,25 @@ TEST(SoAKernel, TailLoopCorpusSweepsMatchNaiveSemantics) {
       expect_lanes_identical(got, naive);
     }
 
-    {  // emit_pairs + merge_fill: a self-merge emits at least the list, and
-       // every pair combines as the reference merge does.
-      const core::CandSpan span = base.span();
-      std::vector<std::uint32_t> ia, jb;
-      const std::size_t m = soa::emit_pairs(span, span, ia, jb);
-      core::SoAList got;
-      soa::merge_fill(span, span, ia.data(), jb.data(), m, got);
-      ASSERT_EQ(got.size(), m);
-      if (len > 0) {
-        EXPECT_GE(m, len);
+    {  // merge_sweep: a self-merge (an exact slack tie at every step) and
+       // a merge with the next corpus list, against the in-test naive form.
+      core::PlanArena arena;
+      const core::SoAList self = with_plans(base, arena, 0);
+      const core::SoAList other = with_plans(
+          load_corpus(kLens[(li + 1) % std::size(kLens)]), arena, 1);
+      for (const core::SoAList* b : {&self, &other}) {
+        core::SoAList got;
+        got.push_back(-1.0, -1.0, -1.0, -1.0, -1.0, core::kNullPlan);
+        const std::size_t m =
+            soa::merge_sweep(self.span(), b->span(), arena, got);
+        const core::SoAList naive = naive_merge(self, *b, arena);
+        ASSERT_EQ(got.size(), 1 + m);  // appended after the existing entry
+        EXPECT_EQ(got.load()[0], -1.0);
+        if (len > 0 && b == &self) {
+          EXPECT_EQ(m, len);
+        }
+        expect_merged_identical(got, 1, naive, arena);
       }
-      core::SoAList naive;
-      for (std::size_t o = 0; o < m; ++o) {
-        const std::uint32_t i = ia[o], j = jb[o];
-        naive.push_back(span.load[i] + span.load[j],
-                        std::min(span.slack[i], span.slack[j]),
-                        span.current[i] + span.current[j],
-                        std::min(span.noise_slack[i], span.noise_slack[j]),
-                        std::max(span.dhat[i], span.dhat[j]), core::kNullPlan);
-        got.plan()[o] = core::kNullPlan;  // the caller's lane, left unfilled
-      }
-      expect_lanes_identical(got, naive);
     }
 
     {  // gather: one permutation (reversal) through all six lanes.

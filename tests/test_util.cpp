@@ -180,16 +180,14 @@ TEST(Stats, VgStatsFieldTableCoversEveryField) {
   const util::VgStats distinct{
       .candidates_generated = 1, .pruned_inferior = 2,
       .pruned_infeasible = 3, .merged = 4, .peak_list_size = 5,
-      .prune_calls = 6, .prune_sorts = 7, .prune_sorts_skipped = 8,
-      .offset_flushes = 9, .snapshot_cands_avoided = 10, .pool_reuses = 11,
-      .bp_prune_calls = 12, .bp_candidates_killed = 13, .lib_types = 14,
-      .soa_flush_elems = 15, .soa_prunes_no_move = 16};
+      .prune_calls = 6, .prune_sorts = 7, .pool_reuses = 8,
+      .bp_prune_calls = 9, .bp_candidates_killed = 10, .lib_types = 11,
+      .soa_prunes_no_move = 12};
   const std::vector<std::string> declared = {
       "candidates_generated", "pruned_inferior", "pruned_infeasible",
       "merged", "peak_list_size", "prune_calls", "prune_sorts",
-      "prune_sorts_skipped", "offset_flushes", "snapshot_cands_avoided",
       "pool_reuses", "bp_prune_calls", "bp_candidates_killed", "lib_types",
-      "soa_flush_elems", "soa_prunes_no_move"};
+      "soa_prunes_no_move"};
   ASSERT_EQ(std::size(util::kVgStatsFields), declared.size());
 
   for (const Field& f : util::kVgStatsFields) {

@@ -294,7 +294,10 @@ bool parse_batch_args(int argc, char** argv, BatchArgs& args,
       return false;
     }
   }
-  if (args.mode != "buffopt" && args.mode != "delayopt") return false;
+  if (args.mode != "buffopt" && args.mode != "delayopt") {
+    std::fprintf(stderr, "--mode must be buffopt or delayopt\n");
+    return false;
+  }
   if (args.trace_level != "phase" && args.trace_level != "detail") {
     std::fprintf(stderr, "--trace-level must be phase or detail\n");
     return false;
@@ -320,10 +323,11 @@ bool parse_batch_args(int argc, char** argv, BatchArgs& args,
     std::fprintf(stderr, "signoff tolerances must be nonnegative\n");
     return false;
   }
-  // Exactly one workload source.
-  const bool have_dir = !args.dir.empty();
-  const bool have_gen = args.netgen_count > 0;
-  return have_dir != have_gen;
+  if (args.dir.empty() == (args.netgen_count == 0)) {
+    std::fprintf(stderr, "give exactly one of --dir / --netgen\n");
+    return false;
+  }
+  return true;
 }
 
 // Loads the workload a batch-style subcommand names; returns kExitClean or
