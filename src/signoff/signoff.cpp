@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <variant>
 
 #include "elmore/elmore.hpp"
 #include "noise/devgan.hpp"
@@ -76,10 +77,15 @@ std::size_t SignoffReport::count(ViolationKind kind) const {
   return n;
 }
 
-SignoffReport verify(const std::string& name, const rct::RoutingTree& tree,
-                     const rct::BufferAssignment& buffers,
-                     const lib::BufferLibrary& lib,
-                     const SignoffOptions& options) {
+namespace {
+
+// The report-assembly half of verify: joins a golden outcome (computed
+// alone or pooled with other nets) with the metric and timing engines.
+SignoffReport assemble(const std::string& name, const rct::RoutingTree& tree,
+                       const rct::BufferAssignment& buffers,
+                       const lib::BufferLibrary& lib,
+                       const SignoffOptions& options,
+                       const sim::GoldenOutcome& outcome) {
   NBUF_TRACE_SPAN_TAGGED("signoff.verify", tree.node_count());
   SignoffReport rep;
   rep.net = name;
@@ -92,14 +98,13 @@ SignoffReport verify(const std::string& name, const rct::RoutingTree& tree,
   // convergence check enabled a too-coarse timestep surfaces as a
   // NotConverged violation, and every golden-derived field becomes NaN
   // (null in JSON) rather than a number nobody should trust.
-  sim::GoldenReport golden;
-  bool have_golden = true;
-  try {
-    golden = sim::golden_analyze(tree, buffers, lib, options.golden);
-    rep.golden_steps = golden.steps_marched;
-    rep.golden_steps_horizon = golden.steps_horizon;
-  } catch (const sim::ConvergenceError& e) {
-    have_golden = false;
+  const auto* golden = std::get_if<sim::GoldenReport>(&outcome);
+  const bool have_golden = golden != nullptr;
+  if (have_golden) {
+    rep.golden_steps = golden->steps_marched;
+    rep.golden_steps_horizon = golden->steps_horizon;
+  } else {
+    const auto& e = std::get<sim::NotConverged>(outcome);
     Violation v;
     v.kind = ViolationKind::NotConverged;
     v.node = e.node;
@@ -110,8 +115,8 @@ SignoffReport verify(const std::string& name, const rct::RoutingTree& tree,
 
   std::unordered_map<rct::NodeId, const sim::GoldenLeaf*> golden_at;
   if (have_golden) {
-    golden_at.reserve(golden.leaves.size());
-    for (const sim::GoldenLeaf& g : golden.leaves) golden_at[g.node] = &g;
+    golden_at.reserve(golden->leaves.size());
+    for (const sim::GoldenLeaf& g : golden->leaves) golden_at[g.node] = &g;
   }
 
   const SignoffTolerances& tol = options.tol;
@@ -180,30 +185,81 @@ SignoffReport verify(const std::string& name, const rct::RoutingTree& tree,
   return rep;
 }
 
+SignoffReport infeasible_report(std::string_view name) {
+  SignoffReport rep;
+  rep.net = name;
+  rep.optimizer_feasible = false;
+  rep.worst_golden_slack = rep.worst_metric_slack = rep.worst_timing_slack =
+      kNaN;
+  Violation v;
+  v.kind = ViolationKind::Infeasible;
+  rep.violations.push_back(v);
+  return rep;
+}
+
+}  // namespace
+
+SignoffReport verify(const std::string& name, const rct::RoutingTree& tree,
+                     const rct::BufferAssignment& buffers,
+                     const lib::BufferLibrary& lib,
+                     const SignoffOptions& options) {
+  const sim::GoldenNet net{&tree, &buffers, &lib};
+  return assemble(name, tree, buffers, lib, options,
+                  sim::golden_analyze({&net, 1}, options.golden).front());
+}
+
+std::vector<SignoffReport> verify_results(
+    std::span<const std::string_view> names,
+    std::span<const core::ToolResult> results, const lib::BufferLibrary& lib,
+    const lib::WireWidthLibrary& widths, const SignoffOptions& options) {
+  NBUF_EXPECTS(names.size() == results.size());
+  const std::size_t n = results.size();
+  // The tree each feasible result is verified on: its own, or a copy with
+  // the DP's wire widths applied.
+  std::vector<rct::RoutingTree> sized;
+  sized.reserve(n);
+  std::vector<const rct::RoutingTree*> tree_of(n, nullptr);
+  std::vector<sim::GoldenNet> golden_nets;
+  for (std::size_t i = 0; i < n; ++i) {
+    const core::ToolResult& r = results[i];
+    if (!r.vg.feasible) continue;
+    if (r.vg.wire_widths.empty()) {
+      tree_of[i] = &r.tree;
+    } else {
+      NBUF_EXPECTS_MSG(!widths.empty(),
+                       "result carries wire widths but no width library given");
+      rct::RoutingTree& t = sized.emplace_back(r.tree);
+      core::apply_wire_widths(t, r.vg.wire_widths, widths);
+      tree_of[i] = &t;
+    }
+    golden_nets.push_back({tree_of[i], &r.vg.buffers, &lib});
+  }
+  const std::vector<sim::GoldenOutcome> golden =
+      sim::golden_analyze(golden_nets, options.golden);
+
+  std::vector<SignoffReport> reports;
+  reports.reserve(n);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tree_of[i] == nullptr) {
+      reports.push_back(infeasible_report(names[i]));
+    } else {
+      reports.push_back(assemble(std::string(names[i]), *tree_of[i],
+                                 results[i].vg.buffers, lib, options,
+                                 golden[next++]));
+    }
+  }
+  return reports;
+}
+
 SignoffReport verify_result(const std::string& name,
                             const core::ToolResult& result,
                             const lib::BufferLibrary& lib,
                             const lib::WireWidthLibrary& widths,
                             const SignoffOptions& options) {
-  if (!result.vg.feasible) {
-    SignoffReport rep;
-    rep.net = name;
-    rep.optimizer_feasible = false;
-    rep.worst_golden_slack = rep.worst_metric_slack =
-        rep.worst_timing_slack = kNaN;
-    Violation v;
-    v.kind = ViolationKind::Infeasible;
-    rep.violations.push_back(v);
-    return rep;
-  }
-  if (result.vg.wire_widths.empty()) {
-    return verify(name, result.tree, result.vg.buffers, lib, options);
-  }
-  NBUF_EXPECTS_MSG(!widths.empty(),
-                   "result carries wire widths but no width library given");
-  rct::RoutingTree sized = result.tree;
-  core::apply_wire_widths(sized, result.vg.wire_widths, widths);
-  return verify(name, sized, result.vg.buffers, lib, options);
+  const std::string_view label = name;
+  return std::move(
+      verify_results({&label, 1}, {&result, 1}, lib, widths, options).front());
 }
 
 namespace {

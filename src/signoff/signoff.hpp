@@ -24,7 +24,9 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/tool.hpp"
@@ -158,6 +160,15 @@ struct SignoffReport {
                                           const lib::BufferLibrary& lib,
                                           const lib::WireWidthLibrary& widths,
                                           const SignoffOptions& options);
+
+// verify_result for many results at once: reports[i] equals
+// verify_result(names[i], results[i], ...), but the golden stages of every
+// feasible result are marched in one pool (sim::golden_analyze's span
+// overload), which is what makes signoff of a workload cheap.
+[[nodiscard]] std::vector<SignoffReport> verify_results(
+    std::span<const std::string_view> names,
+    std::span<const core::ToolResult> results, const lib::BufferLibrary& lib,
+    const lib::WireWidthLibrary& widths, const SignoffOptions& options);
 
 // JSON rendering of one report (docs/signoff.md documents the schema).
 [[nodiscard]] std::string to_json(const SignoffReport& report);

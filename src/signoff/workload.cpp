@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,6 +15,11 @@
 namespace nbuf::signoff {
 
 namespace {
+
+// Nets per golden pool. Pooling across nets keeps the lane march's lanes
+// full; a small chunk still leaves every worker many chunks to claim
+// (EXPERIMENTS.md F-R).
+constexpr std::size_t kChunkNets = 16;
 
 void track_min(double& worst, double candidate) {
   if (std::isnan(candidate)) return;
@@ -35,11 +42,21 @@ WorkloadSignoff run_workload(const std::vector<batch::BatchNet>& nets,
   out.net_count = nets.size();
   out.reports.resize(nets.size());
 
+  // Workers claim chunks of consecutive nets, and each chunk's golden
+  // stages march in one pool (signoff::verify_results).
+  const std::size_t chunks = (nets.size() + kChunkNets - 1) / kChunkNets;
   const auto t0 = std::chrono::steady_clock::now();
-  batch::parallel_for_index(nets.size(), options.threads, [&](std::size_t i) {
-    NBUF_TRACE_SPAN_TAGGED("signoff.net", i);
-    out.reports[i] = verify_result(nets[i].name, results[i], lib,
-                                   options.wire_widths, options.signoff);
+  batch::parallel_for_index(chunks, options.threads, [&](std::size_t c) {
+    const std::size_t lo = c * kChunkNets;
+    const std::size_t hi = std::min(nets.size(), lo + kChunkNets);
+    NBUF_TRACE_SPAN_TAGGED("signoff.chunk", lo);
+    std::vector<std::string_view> names;
+    for (std::size_t i = lo; i < hi; ++i) names.emplace_back(nets[i].name);
+    std::vector<SignoffReport> reps =
+        verify_results(names, std::span(results).subspan(lo, hi - lo), lib,
+                       options.wire_widths, options.signoff);
+    for (std::size_t i = lo; i < hi; ++i)
+      out.reports[i] = std::move(reps[i - lo]);
   });
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();

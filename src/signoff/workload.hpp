@@ -2,12 +2,14 @@
 // re-verified, in parallel, with deterministic aggregates.
 //
 // Runs on the batch engine's fan-out primitive
-// (batch::parallel_for_index): workers claim net indices from a shared
-// counter and write each SignoffReport into its input slot, and every
-// aggregate below is reduced serially in index order after the pool joins
-// — so the whole WorkloadSignoff (including the pessimism histogram that
-// quantifies how conservative the Devgan metric is versus golden, the
-// spirit of the paper's Table III) is bit-identical for any thread count.
+// (batch::parallel_for_index): workers claim fixed chunks of consecutive
+// nets from a shared counter, march each chunk's golden stages in one pool
+// (signoff::verify_results), and write each SignoffReport into its input
+// slot. Every aggregate below is reduced serially in index order after the
+// pool joins — so the whole WorkloadSignoff (including the pessimism
+// histogram that quantifies how conservative the Devgan metric is versus
+// golden, the spirit of the paper's Table III) is bit-identical for any
+// thread count.
 #pragma once
 
 #include <array>

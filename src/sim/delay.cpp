@@ -1,6 +1,7 @@
 #include "sim/delay.hpp"
 
 #include <cmath>
+#include <span>
 #include <unordered_map>
 
 #include "sim/stage_circuit.hpp"
@@ -34,25 +35,30 @@ std::vector<double> stage_crossings(const StageCircuit& c,
   extra[0] = 1.0 / driver_resistance;
   for (std::size_t i = 0; i < n; ++i) extra[i] += c.total_cap(i) / h;
   const TreeSolver solver(c.parent, c.branch_g, extra);
+  // The march runs in the solver's elimination order; the driver feeds the
+  // root, which is eliminated last.
+  const std::span<const std::size_t> node_at = solver.node_at();
+  const std::size_t root = n - 1;
 
   const double half = opt.vdd / 2.0;
-  std::vector<double> v(n, 0.0), prev(n, 0.0), rhs(n);
+  std::vector<double> v(n, 0.0), prev(n, 0.0), rhs(n), cap_h(n);
+  for (std::size_t k = 0; k < n; ++k) cap_h[k] = c.total_cap(node_at[k]) / h;
   std::vector<double> crossing(n, -1.0);
   const auto steps = static_cast<std::size_t>(std::ceil(t_end / h));
   std::size_t found = 0;
   for (std::size_t step = 1; step <= steps && found < n; ++step) {
     const double t = static_cast<double>(step) * h;
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = c.total_cap(i) / h * v[i];
+    for (std::size_t k = 0; k < n; ++k) rhs[k] = cap_h[k] * v[k];
     // Driver: Norton source g * v_ramp(t) into the root.
-    rhs[0] += ramp.at(t) / driver_resistance;
+    rhs[root] += ramp.at(t) / driver_resistance;
     prev = v;
-    solver.solve(rhs);
+    solver.solve_in_order(rhs);
     v = rhs;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (crossing[i] >= 0.0 || v[i] < half) continue;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = node_at[k];
+      if (crossing[i] >= 0.0 || v[k] < half) continue;
       // Linear interpolation inside the step.
-      const double f = (half - prev[i]) / (v[i] - prev[i]);
+      const double f = (half - prev[k]) / (v[k] - prev[k]);
       crossing[i] = t - h + f * h;
       ++found;
     }

@@ -12,15 +12,24 @@
 // holds its output quiet through its linear output resistance; inserted
 // buffers are restoring (each stage simulates independently with its buffer
 // input pins as capacitive leaves). Victim wires are subdivided into short
-// pi-sections, so the distributed RC line is modeled faithfully; the
-// resulting tree system is solved by the O(n) TreeSolver per timestep.
+// pi-sections, so the distributed RC line is modeled faithfully; each
+// stage's tree system is factored once by TreeSolver, and the backward-Euler
+// march steps several stages in lockstep (march_stages below): the O(n)
+// solve of one stage is a serial chain, and stages are independent, so the
+// interleaved sweeps keep the core busy. Every node sees the same IEEE
+// operations in the same order in any pool, so the numbers do not depend on
+// which stages share a march.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "lib/technology.hpp"
 #include "rct/stage.hpp"
+#include "sim/stage_circuit.hpp"
 #include "sim/waveform.hpp"
 
 namespace nbuf::sim {
@@ -44,19 +53,34 @@ struct GoldenOptions {
   bool check_convergence = false;
   double convergence_rtol = 0.02;   // relative peak tolerance
   double convergence_atol = 1e-4;   // volt — floor for near-zero peaks
+
+  // Throws std::invalid_argument unless every field is finite, with
+  // steps_per_rise >= 1, settle_time_constants >= 0, section_length > 0,
+  // 0 <= coupling_ratio < 1, aggressor vdd > 0, rise > 0 and t0 >= 0, and
+  // both convergence tolerances >= 0. Every golden entry point calls it.
+  void validate() const;
 };
 
 // Estimation-mode options derived from the process technology.
 [[nodiscard]] GoldenOptions golden_options_from(const lib::Technology& tech);
 
-// Thrown by golden_analyze when GoldenOptions::check_convergence is set and
-// halving the timestep moved some leaf's peak by more than the tolerance.
-class ConvergenceError : public std::runtime_error {
- public:
-  ConvergenceError(rct::NodeId node, double coarse_peak, double fine_peak);
+// With GoldenOptions::check_convergence set: the first leaf (stages in
+// decomposition order, each stage's leaves in stage.sinks order) whose peak
+// moved by more than the tolerance when the timestep was halved.
+struct NotConverged {
   rct::NodeId node;          // the leaf whose peak failed to converge
   double coarse_peak = 0.0;  // volt, at the configured dt
   double fine_peak = 0.0;    // volt, at dt / 2
+};
+
+// Thrown by the single-net golden_analyze and golden_stage_peaks in place
+// of returning a NotConverged.
+class ConvergenceError : public std::runtime_error {
+ public:
+  explicit ConvergenceError(const NotConverged& failure);
+  rct::NodeId node;
+  double coarse_peak = 0.0;
+  double fine_peak = 0.0;
 };
 
 struct GoldenLeaf {
@@ -82,10 +106,28 @@ struct GoldenReport {
 };
 
 // Simulates every stage of tree+buffers and reports per-leaf peak noise.
+// Throws ConvergenceError when the convergence check fails.
 [[nodiscard]] GoldenReport golden_analyze(const rct::RoutingTree& tree,
                                           const rct::BufferAssignment& buffers,
                                           const lib::BufferLibrary& lib,
                                           const GoldenOptions& options);
+
+// One net of a pooled golden run; the pointees must outlive the call.
+struct GoldenNet {
+  const rct::RoutingTree* tree = nullptr;
+  const rct::BufferAssignment* buffers = nullptr;
+  const lib::BufferLibrary* lib = nullptr;
+};
+
+// What golden_analyze finds for one net: its report, or the convergence
+// failure the single-net overload throws.
+using GoldenOutcome = std::variant<GoldenReport, NotConverged>;
+
+// golden_analyze over many nets, with the stages of all of them (and their
+// dt/2 reruns) marched in one pool. outcomes[i] is exactly what the
+// single-net overload returns or throws for nets[i].
+[[nodiscard]] std::vector<GoldenOutcome> golden_analyze(
+    std::span<const GoldenNet> nets, const GoldenOptions& options);
 
 [[nodiscard]] GoldenReport golden_analyze_unbuffered(
     const rct::RoutingTree& tree, const GoldenOptions& options);
@@ -97,5 +139,37 @@ struct GoldenReport {
 [[nodiscard]] std::vector<std::pair<rct::NodeId, double>> golden_stage_peaks(
     const rct::RoutingTree& tree, const rct::Stage& stage,
     const GoldenOptions& options);
+
+// --- the lane march ----------------------------------------------------------
+
+// Stages stepped in lockstep. One stage's solve is two serial chains (the
+// forward fold leaves-to-root, the backward divide root-to-leaves) bound by
+// latency, so interleaving independent stages fills the pipeline
+// (EXPERIMENTS.md F-R measured 2, 4, 6 and 8).
+inline constexpr std::size_t kMarchLanes = 8;
+
+// One stage to march under the options' aggressor.
+struct StageMarch {
+  const StageCircuit* circuit = nullptr;
+  double driver_resistance = 0.0;  // ohm, > 0
+  double steps_per_rise = 0.0;     // timestep = aggressor.rise / this, >= 1
+  std::vector<std::size_t> peak_nodes;   // sim nodes whose peaks are reported
+  std::vector<std::size_t> trace_nodes;  // sim nodes whose widths are measured
+};
+
+struct MarchResult {
+  // Per sim node. Final for peak_nodes and trace_nodes only: the march
+  // stops once no reported peak or width can change (docs/signoff.md, "How
+  // the march ends"). width is set for trace_nodes, 0 elsewhere.
+  std::vector<double> peak;
+  std::vector<double> width;
+  std::size_t steps_marched = 0;
+  std::size_t steps_horizon = 0;  // steps to the fixed settling horizon
+};
+
+// Marches every stage with backward Euler, several at a time in lockstep;
+// results[i] belongs to stages[i] and does not depend on the pool.
+[[nodiscard]] std::vector<MarchResult> march_stages(
+    std::span<const StageMarch> stages, const GoldenOptions& options);
 
 }  // namespace nbuf::sim

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
+#include <optional>
 #include <string>
+#include <variant>
 
+#include "batch/batch.hpp"
 #include "common/test_nets.hpp"
 #include "core/tool.hpp"
 #include "netgen/netgen.hpp"
 #include "noise/devgan.hpp"
+#include "signoff/signoff.hpp"
+#include "signoff/workload.hpp"
 #include "sim/dense.hpp"
 #include "sim/golden.hpp"
 #include "sim/stage_circuit.hpp"
@@ -389,20 +397,146 @@ TEST(Waveform, SaturatedRamp) {
   EXPECT_NEAR(r.slope(), 7.2e9, 1e-3);
 }
 
+TEST(Golden, InvalidOptionsAreRejectedNotReportedClean) {
+  // Net 0 of a small testbench has three golden violations. Options that
+  // used to march zero steps (steps_per_rise 0) or one (1e-300) reported
+  // it clean; every golden entry point must refuse them instead.
+  const auto nets =
+      netgen::generate_testbench(lib::default_library(), {.net_count = 3});
+  const rct::RoutingTree& t = nets[0].tree;
+  const sim::GoldenOptions good =
+      sim::golden_options_from(lib::default_technology());
+  EXPECT_NO_THROW(good.validate());
+  const sim::GoldenReport rep = sim::golden_analyze_unbuffered(t, good);
+  ASSERT_EQ(rep.violation_count, 3u);
+  EXPECT_LT(rep.worst_slack, -0.3);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Edit = void (*)(sim::GoldenOptions&, double);
+  const struct {
+    const char* field;
+    Edit set;
+    std::vector<double> values;
+  } bad[] = {
+      {"steps_per_rise", [](auto& o, double v) { o.steps_per_rise = v; },
+       {0.0, 1e-300, 0.5, -200.0, nan, inf}},
+      {"settle_time_constants",
+       [](auto& o, double v) { o.settle_time_constants = v; },
+       {-1.0, nan, inf}},
+      {"section_length", [](auto& o, double v) { o.section_length = v; },
+       {0.0, -100.0, nan, inf}},
+      {"coupling_ratio", [](auto& o, double v) { o.coupling_ratio = v; },
+       {-0.1, 1.0, nan}},
+      {"aggressor.vdd", [](auto& o, double v) { o.aggressor.vdd = v; },
+       {0.0, -1.8, nan, inf}},
+      {"aggressor.rise", [](auto& o, double v) { o.aggressor.rise = v; },
+       {0.0, -1e-10, nan, inf}},
+      {"aggressor.t0", [](auto& o, double v) { o.aggressor.t0 = v; },
+       {-1e-10, nan, inf}},
+      {"convergence_rtol", [](auto& o, double v) { o.convergence_rtol = v; },
+       {-0.02, nan, inf}},
+      {"convergence_atol", [](auto& o, double v) { o.convergence_atol = v; },
+       {-1e-4, nan, inf}},
+  };
+  const rct::BufferAssignment none;
+  const lib::BufferLibrary empty;
+  const sim::GoldenNet net{&t, &none, &empty};
+  const rct::Stage stage = rct::decompose(t, none, empty).front();
+  for (const auto& b : bad) {
+    for (const double v : b.values) {
+      sim::GoldenOptions opt = good;
+      b.set(opt, v);
+      const std::string what = std::string(b.field) + " = " + std::to_string(v);
+      EXPECT_THROW(opt.validate(), std::invalid_argument) << what;
+      EXPECT_THROW((void)sim::golden_analyze_unbuffered(t, opt),
+                   std::invalid_argument)
+          << what;
+      EXPECT_THROW((void)sim::golden_analyze({&net, 1}, opt),
+                   std::invalid_argument)
+          << what;
+      EXPECT_THROW((void)sim::golden_stage_peaks(t, stage, opt),
+                   std::invalid_argument)
+          << what;
+      EXPECT_THROW((void)sim::march_stages({}, opt), std::invalid_argument)
+          << what;
+    }
+  }
+  // A stage's own step count is checked too.
+  const sim::StageCircuit c = sim::build_stage_circuit(
+      t, stage, good.coupling_ratio, good.section_length);
+  for (const double spr : {0.0, 0.5, nan}) {
+    const sim::StageMarch job{&c, stage.driver_resistance, spr, {0}, {}};
+    EXPECT_THROW((void)sim::march_stages({&job, 1}, good),
+                 std::invalid_argument);
+  }
+}
+
 // --- early-exit oracle ----------------------------------------------------------
 //
 // golden.cpp stops a stage's march once no reported peak or width can change
-// any more. The reference below is the fixed-horizon march it replaced: every
-// stage runs to t0 + rise + k·R_total·C_total. The two must agree bit for bit
-// (EXPECT_EQ on doubles, not NEAR).
+// any more, and steps several stages in lockstep. The reference below is the
+// one-stage, fixed-horizon march it replaced: every stage runs to
+// t0 + rise + k·R_total·C_total, and the step at which the exit rule first
+// holds is only recorded. The two must agree bit for bit (EXPECT_EQ on
+// doubles, not NEAR).
+
+// The node-indexed tree solver the march must reproduce: elimination in
+// reversed preorder from the root, so each parent folds its children in
+// ascending index. It is independent of sim::TreeSolver, so a change of the
+// production elimination order shows up here as a bit difference.
+class RefSolver {
+ public:
+  RefSolver(const std::vector<std::size_t>& parent,
+            const std::vector<double>& g, const std::vector<double>& extra)
+      : parent_(parent), g_(g), diag_(extra), ratio_(parent.size(), 0.0) {
+    const std::size_t n = parent.size();
+    std::vector<std::vector<std::size_t>> kids(n);
+    for (std::size_t i = 1; i < n; ++i) kids[parent[i]].push_back(i);
+    std::vector<std::size_t> stack{0};
+    while (!stack.empty()) {
+      const std::size_t v = stack.back();
+      stack.pop_back();
+      order_.push_back(v);
+      for (std::size_t k : kids[v]) stack.push_back(k);
+    }
+    std::reverse(order_.begin(), order_.end());
+    for (std::size_t i = 1; i < n; ++i) diag_[i] += g_[i];
+    for (std::size_t v : order_) {
+      if (v == 0) break;
+      ratio_[v] = g_[v] / diag_[v];
+      diag_[parent_[v]] += g_[v] * (1.0 - ratio_[v]);
+    }
+  }
+  void solve(std::vector<double>& x) const {
+    for (std::size_t v : order_) {
+      if (v == 0) break;
+      x[parent_[v]] += ratio_[v] * x[v];
+    }
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      const std::size_t v = *it;
+      x[v] = v == 0 ? x[0] / diag_[0]
+                    : (x[v] + g_[v] * x[parent_[v]]) / diag_[v];
+    }
+  }
+
+ private:
+  std::vector<std::size_t> parent_, order_;
+  std::vector<double> g_, diag_, ratio_;
+};
 
 struct RefMarch {
   std::vector<double> peak;   // per sim node
   std::vector<double> width;  // per sim node; set for `traced` only
+  std::size_t steps_marched = 0;  // where the exit rule first holds
+  std::size_t steps_horizon = 0;
 };
 
+// `reported` are the nodes whose peaks are reported (the exit rule's peak
+// term), `traced` those whose widths are measured (its half-peak term).
 RefMarch reference_march(const sim::StageCircuit& c, double r_drv,
                          const sim::GoldenOptions& opt, double steps_per_rise,
+                         const std::vector<std::size_t>& reported,
                          const std::vector<std::size_t>& traced) {
   const std::size_t n = c.size();
   const double h = opt.aggressor.rise / steps_per_rise;
@@ -415,11 +549,12 @@ RefMarch reference_march(const sim::StageCircuit& c, double r_drv,
   std::vector<double> extra(n, 0.0);
   extra[0] = 1.0 / r_drv;
   for (std::size_t i = 0; i < n; ++i) extra[i] += c.total_cap(i) / h;
-  const sim::TreeSolver solver(c.parent, c.branch_g, extra);
+  const RefSolver solver(c.parent, c.branch_g, extra);
   std::vector<double> v(n, 0.0), rhs(n);
   RefMarch out{std::vector<double>(n, 0.0), std::vector<double>(n, 0.0)};
   std::vector<std::vector<double>> trace(traced.size());
   const auto steps = static_cast<std::size_t>(std::ceil(t_end / h));
+  out.steps_horizon = out.steps_marched = steps;
   double va_prev = opt.aggressor.at(0.0);
   for (std::size_t step = 1; step <= steps; ++step) {
     const double va = opt.aggressor.at(static_cast<double>(step) * h);
@@ -429,10 +564,18 @@ RefMarch reference_march(const sim::StageCircuit& c, double r_drv,
       rhs[i] = c.total_cap(i) / h * v[i] + c.cap_couple[i] / h * dva;
     solver.solve(rhs);
     v = rhs;
-    for (std::size_t i = 0; i < n; ++i)
+    double v_max = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
       out.peak[i] = std::max(out.peak[i], std::abs(v[i]));
+      v_max = std::max(v_max, std::abs(v[i]));
+    }
     for (std::size_t k = 0; k < traced.size(); ++k)
       trace[k].push_back(std::abs(v[traced[k]]));
+    double floor = std::numeric_limits<double>::infinity();
+    for (std::size_t i : reported) floor = std::min(floor, out.peak[i]);
+    for (std::size_t i : traced) floor = std::min(floor, out.peak[i] / 2.0);
+    if (out.steps_marched == steps && va == opt.aggressor.vdd && v_max < floor)
+      out.steps_marched = step;
   }
   for (std::size_t k = 0; k < traced.size(); ++k) {
     const double half = out.peak[traced[k]] / 2.0;
@@ -454,14 +597,16 @@ std::vector<std::size_t> leaf_sims(const sim::StageCircuit& c,
 }
 
 // golden_analyze (and, with `stage_peaks`, golden_stage_peaks per stage)
-// against the reference: identical leaf peaks and widths, or — with
-// check_convergence — the same ConvergenceError the reference's leaf-order
-// dt/2 check predicts. Returns the report's (marched, horizon) step counts.
+// against the reference: identical leaf peaks, widths and step counts, or —
+// with check_convergence — the same ConvergenceError the reference's
+// leaf-order dt/2 check predicts. Returns the report's (marched, horizon)
+// step counts.
 std::pair<std::size_t, std::size_t> expect_golden_matches_reference(
     const rct::RoutingTree& tree, const rct::BufferAssignment& buffers,
     const lib::BufferLibrary& lib, const sim::GoldenOptions& opt,
     bool stage_peaks, const std::string& what) {
   std::vector<std::pair<double, double>> leaves;  // peak, width
+  std::pair<std::size_t, std::size_t> steps{0, 0};  // marched, horizon
   bool converged = true;
   rct::NodeId bad_node;
   double bad_coarse = 0.0, bad_fine = 0.0;
@@ -470,11 +615,15 @@ std::pair<std::size_t, std::size_t> expect_golden_matches_reference(
                                             opt.section_length);
     const std::vector<std::size_t> sims = leaf_sims(c, st);
     const RefMarch ref = reference_march(c, st.driver_resistance, opt,
-                                         opt.steps_per_rise, sims);
+                                         opt.steps_per_rise, sims, sims);
     for (std::size_t i : sims) leaves.emplace_back(ref.peak[i], ref.width[i]);
+    steps.first += ref.steps_marched;
+    steps.second += ref.steps_horizon;
     if (opt.check_convergence && converged) {
       const RefMarch fine = reference_march(c, st.driver_resistance, opt,
-                                            2.0 * opt.steps_per_rise, {});
+                                            2.0 * opt.steps_per_rise, sims, {});
+      steps.first += fine.steps_marched;
+      steps.second += fine.steps_horizon;
       for (std::size_t k = 0; k < sims.size() && converged; ++k) {
         const double a = ref.peak[sims[k]];
         const double b = fine.peak[sims[k]];
@@ -501,7 +650,8 @@ std::pair<std::size_t, std::size_t> expect_golden_matches_reference(
       EXPECT_EQ(rep.leaves[k].peak, leaves[k].first) << what << " leaf " << k;
       EXPECT_EQ(rep.leaves[k].width, leaves[k].second) << what << " leaf " << k;
     }
-    EXPECT_LE(rep.steps_marched, rep.steps_horizon) << what;
+    EXPECT_EQ(rep.steps_marched, steps.first) << what;
+    EXPECT_EQ(rep.steps_horizon, steps.second) << what;
     return {rep.steps_marched, rep.steps_horizon};
   } catch (const sim::ConvergenceError& e) {
     EXPECT_FALSE(converged) << what << ": " << e.what();
@@ -600,6 +750,214 @@ TEST_F(GoldenEarlyExit, DelayedAggressorWaitsForTheFlatRamp) {
   opt.aggressor.t0 = 0.4 * ns;
   const auto [marched, horizon] = check(opt, 25, "t0 > 0");
   EXPECT_LT(marched, horizon);
+}
+
+
+// --- the lane march -------------------------------------------------------------
+//
+// march_stages steps up to kMarchLanes stages in lockstep and refills a lane
+// as soon as its stage exits. Whatever pool a stage lands in, every number
+// must equal the one-stage reference march bit for bit.
+
+// A stage to march together with what the reference says it must give.
+struct LaneCase {
+  sim::StageMarch job;
+  RefMarch want;
+  std::string what;
+};
+
+void expect_march_matches(const sim::MarchResult& got, const LaneCase& c,
+                          const std::string& pool) {
+  const std::string what = c.what + " in " + pool;
+  for (std::size_t i : c.job.peak_nodes)
+    EXPECT_EQ(got.peak[i], c.want.peak[i]) << what << " peak of " << i;
+  for (std::size_t i : c.job.trace_nodes) {
+    EXPECT_EQ(got.peak[i], c.want.peak[i]) << what << " peak of " << i;
+    EXPECT_EQ(got.width[i], c.want.width[i]) << what << " width of " << i;
+  }
+  EXPECT_EQ(got.steps_marched, c.want.steps_marched) << what;
+  EXPECT_EQ(got.steps_horizon, c.want.steps_horizon) << what;
+}
+
+TEST(GoldenLanes, PooledMarchMatchesReferenceInAnyPool) {
+  const lib::BufferLibrary lib = lib::default_library();
+  const sim::GoldenOptions opt =
+      sim::golden_options_from(lib::default_technology());
+  netgen::TestbenchOptions gen;
+  gen.net_count = 12;
+  gen.seed = 77;
+  std::vector<rct::RoutingTree> trees;
+  std::vector<core::ToolResult> results;
+  for (auto& g : netgen::generate_testbench(lib, gen)) {
+    results.push_back(core::run_buffopt(g.tree, lib));
+    trees.push_back(std::move(g.tree));
+  }
+  const rct::BufferAssignment none;
+
+  // Every stage of every net, unbuffered and buffered, at the configured
+  // dt and at dt/2 (the convergence rerun: leaf peaks only, no traces);
+  // the first stages again without coupling (zero peaks: no early exit);
+  // and single-node stages.
+  std::deque<sim::StageCircuit> circuits;
+  std::vector<LaneCase> cases;
+  auto add = [&](const sim::StageCircuit& c, double r_drv, double spr,
+                 std::vector<std::size_t> reported,
+                 std::vector<std::size_t> traced, const std::string& what) {
+    LaneCase lc{{&c, r_drv, spr, std::move(reported), std::move(traced)},
+                {},
+                what};
+    lc.want = reference_march(c, r_drv, opt, spr, lc.job.peak_nodes,
+                              lc.job.trace_nodes);
+    cases.push_back(std::move(lc));
+  };
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    for (const bool buffered : {false, true}) {
+      const rct::RoutingTree& t = buffered ? results[i].tree : trees[i];
+      const auto stages = rct::decompose(
+          t, buffered ? results[i].vg.buffers : none, lib);
+      for (std::size_t s = 0; s < stages.size(); ++s) {
+        const rct::Stage& st = stages[s];
+        const std::string what = "net " + std::to_string(i) +
+                                 (buffered ? " buffered" : " unbuffered") +
+                                 " stage " + std::to_string(s);
+        const auto& c = circuits.emplace_back(sim::build_stage_circuit(
+            t, st, opt.coupling_ratio, opt.section_length));
+        const std::vector<std::size_t> leaves = leaf_sims(c, st);
+        add(c, st.driver_resistance, opt.steps_per_rise, leaves, leaves, what);
+        add(c, st.driver_resistance, 2.0 * opt.steps_per_rise, leaves, {},
+            what + " dt/2");
+        if (s == 0) {
+          const auto& quiet = circuits.emplace_back(sim::build_stage_circuit(
+              t, st, 0.0, opt.section_length));
+          add(quiet, st.driver_resistance, opt.steps_per_rise, leaves, leaves,
+              what + " no coupling");
+        }
+      }
+    }
+  }
+  for (const double couple : {0.0, 20e-15}) {
+    sim::StageCircuit& one = circuits.emplace_back();
+    one.parent = {0};
+    one.branch_g = {0.0};
+    one.cap_ground = {15e-15};
+    one.cap_couple = {couple};
+    add(one, 150.0, opt.steps_per_rise, {0}, {0},
+        "single node, coupling " + std::to_string(couple));
+  }
+  std::size_t zero_peaks = 0;
+  for (const LaneCase& c : cases) {
+    zero_peaks += c.want.peak[c.job.peak_nodes[0]] == 0.0 ? 1 : 0;
+    EXPECT_LE(c.want.steps_marched, c.want.steps_horizon);
+  }
+  EXPECT_GE(zero_peaks, trees.size()) << "zero-coupling stages are covered";
+
+  // Each stage alone.
+  for (const LaneCase& c : cases) {
+    const auto got = sim::march_stages({&c.job, 1}, opt);
+    expect_march_matches(got.front(), c, "a pool of one");
+  }
+  // Shuffled pools of 1 .. kMarchLanes + 3 stages from different nets.
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t size = 1 + static_cast<std::size_t>(trial) %
+                                     (sim::kMarchLanes + 3);
+    std::vector<std::size_t> pick(cases.size());
+    for (std::size_t k = 0; k < pick.size(); ++k) pick[k] = k;
+    for (std::size_t k = pick.size() - 1; k > 0; --k)
+      std::swap(pick[k], pick[static_cast<std::size_t>(
+                             rng.uniform_int(0, static_cast<int>(k)))]);
+    pick.resize(size);
+    std::vector<sim::StageMarch> pool;
+    for (std::size_t k : pick) pool.push_back(cases[k].job);
+    const auto got = sim::march_stages(pool, opt);
+    ASSERT_EQ(got.size(), size);
+    for (std::size_t k = 0; k < size; ++k)
+      expect_march_matches(got[k], cases[pick[k]],
+                           "pool " + std::to_string(trial) + " of " +
+                               std::to_string(size));
+  }
+
+  // Whole nets: each alone, then all of them pooled in shuffled order.
+  std::vector<sim::GoldenNet> nets;
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    nets.push_back({&trees[i], &none, &lib});
+    nets.push_back({&results[i].tree, &results[i].vg.buffers, &lib});
+  }
+  for (std::size_t k = nets.size() - 1; k > 0; --k)
+    std::swap(nets[k], nets[static_cast<std::size_t>(
+                           rng.uniform_int(0, static_cast<int>(k)))]);
+  const auto pooled = sim::golden_analyze(nets, opt);
+  ASSERT_EQ(pooled.size(), nets.size());
+  for (std::size_t k = 0; k < nets.size(); ++k) {
+    const sim::GoldenReport alone =
+        sim::golden_analyze(*nets[k].tree, *nets[k].buffers, lib, opt);
+    const auto* got = std::get_if<sim::GoldenReport>(&pooled[k]);
+    ASSERT_NE(got, nullptr) << "net " << k;
+    ASSERT_EQ(got->leaves.size(), alone.leaves.size()) << "net " << k;
+    for (std::size_t l = 0; l < alone.leaves.size(); ++l) {
+      EXPECT_EQ(got->leaves[l].node, alone.leaves[l].node);
+      EXPECT_EQ(got->leaves[l].peak, alone.leaves[l].peak) << "net " << k;
+      EXPECT_EQ(got->leaves[l].width, alone.leaves[l].width) << "net " << k;
+    }
+    EXPECT_EQ(got->steps_marched, alone.steps_marched) << "net " << k;
+    EXPECT_EQ(got->steps_horizon, alone.steps_horizon) << "net " << k;
+  }
+}
+
+TEST(GoldenLanes, FailingNetInAWorkloadChunkLeavesItsNeighboursAlone) {
+  // At 7 steps per rise 17 of these 60 nets fail the dt/2 check. One of
+  // them sits in the middle of a run_workload chunk of passing nets; only it
+  // may report not_converged, and every report must equal its solo verify.
+  const lib::BufferLibrary lib = lib::default_library();
+  signoff::SignoffOptions so;
+  so.golden = sim::golden_options_from(lib::default_technology());
+  so.golden.check_convergence = true;
+  so.golden.steps_per_rise = 7.0;
+  netgen::TestbenchOptions gen;
+  gen.net_count = 60;
+  gen.seed = 9851;
+  std::vector<batch::BatchNet> all;
+  std::vector<core::ToolResult> all_results;
+  std::vector<std::string> all_solo;
+  std::optional<std::size_t> failing;
+  std::vector<std::size_t> passing;
+  for (auto& g : netgen::generate_testbench(lib, gen)) {
+    core::ToolResult r = core::run_buffopt(g.tree, lib);
+    const signoff::SignoffReport solo =
+        signoff::verify_result(g.name, r, lib, {}, so);
+    const bool bad = solo.count(signoff::ViolationKind::NotConverged) > 0;
+    if (bad && !failing) failing = all.size();
+    if (!bad) passing.push_back(all.size());
+    all_solo.push_back(signoff::to_json(solo));
+    all.push_back({g.name, std::move(g.tree)});
+    all_results.push_back(std::move(r));
+  }
+  ASSERT_TRUE(failing.has_value()) << "no net fails at this step size";
+  ASSERT_GE(passing.size(), 31u);
+
+  // 32 nets, two workload chunks; the failing net is the ninth.
+  std::vector<std::size_t> order(passing.begin(), passing.begin() + 31);
+  order.insert(order.begin() + 8, *failing);
+  std::vector<batch::BatchNet> nets;
+  std::vector<core::ToolResult> results;
+  for (std::size_t i : order) {
+    nets.push_back(all[i]);
+    results.push_back(all_results[i]);
+  }
+  for (const std::size_t threads : {1u, 3u}) {
+    signoff::WorkloadOptions wo;
+    wo.threads = threads;
+    wo.signoff = so;
+    const signoff::WorkloadSignoff w =
+        signoff::run_workload(nets, results, lib, wo);
+    ASSERT_EQ(w.reports.size(), order.size());
+    EXPECT_EQ(w.by_kind[static_cast<std::size_t>(
+                  signoff::ViolationKind::NotConverged)],
+              1u);
+    for (std::size_t k = 0; k < order.size(); ++k)
+      EXPECT_EQ(signoff::to_json(w.reports[k]), all_solo[order[k]])
+          << "threads " << threads << " position " << k;
+  }
 }
 
 }  // namespace
