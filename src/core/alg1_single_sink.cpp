@@ -24,17 +24,15 @@ lib::BufferId noise_buffer_choice(const lib::BufferLibrary& lib) {
   return lib.strongest();  // inverting-only library: caller's responsibility
 }
 
-NoiseAvoidanceResult avoid_noise_single_sink(
-    const rct::RoutingTree& input, const lib::BufferLibrary& lib,
-    const NoiseAvoidanceOptions& options) {
+NoiseAvoidanceResult avoid_noise_single_sink(const rct::RoutingTree& input,
+                                             const lib::BufferLibrary& lib) {
   NBUF_TRACE_SPAN_TAGGED("alg1.run", input.node_count());
   NBUF_EXPECTS_MSG(input.sink_count() == 1, "Algorithm 1 needs one sink");
   for (rct::NodeId id : input.preorder())
     NBUF_EXPECTS_MSG(input.node(id).children.size() <= 1,
                      "Algorithm 1 needs a path topology");
 
-  const lib::BufferId bid =
-      options.buffer_type ? *options.buffer_type : noise_buffer_choice(lib);
+  const lib::BufferId bid = noise_buffer_choice(lib);
   const lib::BufferType& b = lib.at(bid);
 
   NoiseAvoidanceResult result{input, {}, 0};

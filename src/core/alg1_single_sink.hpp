@@ -10,11 +10,10 @@
 // number of inserted buffers (Theorem 3).
 //
 // With a multi-buffer library the smallest-resistance type alone achieves
-// optimality (remark after Theorem 3); inverting types are excluded by
-// default because the algorithm does not track signal polarity.
+// optimality (remark after Theorem 3), so that is the type inserted;
+// inverting types are excluded because the algorithm does not track signal
+// polarity.
 #pragma once
-
-#include <optional>
 
 #include "core/plan.hpp"
 #include "lib/buffer.hpp"
@@ -23,29 +22,22 @@
 
 namespace nbuf::core {
 
-struct NoiseAvoidanceOptions {
-  // Buffer type to insert; defaults to the smallest-resistance
-  // non-inverting type (or smallest-resistance overall if the library has
-  // no non-inverting member). Exact resistance ties break on the type
-  // name, so the default choice is the same for any permutation of the
-  // same library.
-  std::optional<lib::BufferId> buffer_type;
-};
-
 struct NoiseAvoidanceResult {
   rct::RoutingTree tree;  // input copy, possibly with added buffer sites
   rct::BufferAssignment buffers;
   std::size_t buffer_count = 0;
 };
 
-// Picks the insertion type per the rule above.
+// The buffer type Algorithms 1 and 2 insert: the smallest-resistance
+// non-inverting type (or smallest-resistance overall if the library has no
+// non-inverting member). Exact resistance ties break on the type name, so
+// the choice is the same for any permutation of the same library.
 [[nodiscard]] lib::BufferId noise_buffer_choice(const lib::BufferLibrary& lib);
 
 // Solves Problem 1 on a single-sink (path) tree: the minimum number of
 // buffers such that no noise constraint is violated. Requires every node of
 // `input` to have at most one child.
 [[nodiscard]] NoiseAvoidanceResult avoid_noise_single_sink(
-    const rct::RoutingTree& input, const lib::BufferLibrary& lib,
-    const NoiseAvoidanceOptions& options = {});
+    const rct::RoutingTree& input, const lib::BufferLibrary& lib);
 
 }  // namespace nbuf::core

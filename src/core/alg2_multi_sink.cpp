@@ -204,13 +204,11 @@ std::vector<ClimbState> Alg2Run::candidates_at(rct::NodeId v) {
 }  // namespace
 
 MultiSinkResult avoid_noise_multi_sink(const rct::RoutingTree& input,
-                                       const lib::BufferLibrary& lib,
-                                       const NoiseAvoidanceOptions& options) {
+                                       const lib::BufferLibrary& lib) {
   NBUF_TRACE_SPAN_TAGGED("alg2.run", input.node_count());
   NBUF_EXPECTS_MSG(input.is_binary(),
                    "Algorithm 2 needs a binary tree (call binarize())");
-  const lib::BufferId bid =
-      options.buffer_type ? *options.buffer_type : noise_buffer_choice(lib);
+  const lib::BufferId bid = noise_buffer_choice(lib);
   const lib::BufferType& buf = lib.at(bid);
 
   MultiSinkResult result{input, {}, 0, {}};

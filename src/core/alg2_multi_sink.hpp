@@ -35,7 +35,6 @@ struct MultiSinkResult {
 
 // Requires a binary tree (call tree.binarize() first if needed).
 [[nodiscard]] MultiSinkResult avoid_noise_multi_sink(
-    const rct::RoutingTree& input, const lib::BufferLibrary& lib,
-    const NoiseAvoidanceOptions& options = {});
+    const rct::RoutingTree& input, const lib::BufferLibrary& lib);
 
 }  // namespace nbuf::core

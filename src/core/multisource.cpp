@@ -13,6 +13,9 @@ namespace nbuf::core {
 
 namespace {
 
+constexpr double kSegmentUm = 500.0;    // base-tree segmenting granularity
+constexpr std::size_t kMaxRounds = 8;  // repair rounds over every mode
+
 // The base tree, the current repeater set, and one mode, seen from the
 // mode's driver: (rerooted tree, mapped assignment, old->new node map).
 struct ModeView {
@@ -64,17 +67,16 @@ MultiSourceResult optimize_multisource(const rct::RoutingTree& input,
                std::all_of(modes.begin(), modes.end(), [](const NetMode& m) {
                  return !m.terminal.valid();
                }));
-  const lib::BufferId rep =
-      options.repeater ? *options.repeater : noise_buffer_choice(lib);
+  const lib::BufferId rep = noise_buffer_choice(lib);
 
   MultiSourceResult result;
   result.tree = input;
   result.tree.binarize();
-  seg::segment(result.tree, {options.segment_length});
+  seg::segment(result.tree, {kSegmentUm});
 
   // Inverse of new_id_of per mode view is rebuilt each round; repeaters
   // live on base-tree ids.
-  for (result.rounds = 0; result.rounds < options.max_rounds;
+  for (result.rounds = 0; result.rounds < kMaxRounds;
        ++result.rounds) {
     bool all_clean = true;
     for (const NetMode& mode : modes) {

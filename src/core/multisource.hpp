@@ -18,9 +18,11 @@
 // Adding a restoring repeater only ever shortens stages in every
 // orientation, so (with the strongest library type, as in Algorithms 1-2)
 // progress is monotone and the loop terminates.
+//
+// The repeater type is noise_buffer_choice(lib), the tree is segmented at
+// 500 µm, and the loop runs at most 8 rounds.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/vanginneken.hpp"
@@ -39,10 +41,6 @@ struct NetMode {
 struct MultiSourceOptions {
   // Pin seen at the original source terminal when some other mode drives.
   rct::SinkInfo source_as_sink;
-  // Repeater type; defaults to the smallest-resistance non-inverting type.
-  std::optional<lib::BufferId> repeater;
-  double segment_length = 500.0;  // µm
-  std::size_t max_rounds = 8;
 };
 
 struct MultiSourceResult {

@@ -136,18 +136,13 @@ void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
   const NodeLists before = lists;
   for (lib::BufferId bid : lib_.ids()) {
     const lib::BufferType& b = lib_.at(bid);
-    // Cost of inserting this type (Lillis power-function generalization;
-    // defaults to 1 = plain counting).
-    const std::size_t cost = opt_.buffer_costs.empty()
-                                 ? 1
-                                 : opt_.buffer_costs[bid.value()];
-    // New candidates bucketed by (result phase, count+cost).
+    // New candidates bucketed by (result phase, count + 1).
     for (int in_phase = 0; in_phase < 2; ++in_phase) {
       const int out_phase = b.inverting ? 1 - in_phase : in_phase;
       const auto& buckets = before.by_phase[in_phase];
       std::vector<VgCand> additions(buckets.size());
       std::vector<bool> has(buckets.size(), false);
-      for (std::size_t k = 0; k + cost < buckets.size(); ++k) {
+      for (std::size_t k = 0; k + 1 < buckets.size(); ++k) {
         // Best resulting slack over the count-k list (Fig. 11 Step 5).
         const VgCand* best = nullptr;
         double best_q = -std::numeric_limits<double>::infinity();
@@ -172,7 +167,7 @@ void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
         // as slack-rich, so the post-insertion prune below would delete
         // this one unconditionally. Book the generate+prune pair without
         // materializing a plan node.
-        const CandList& target = before.by_phase[out_phase][k + cost];
+        const CandList& target = before.by_phase[out_phase][k + 1];
         if (opt_.prune_candidates &&
             detail::dominated_by_staircase(target.data(), target.size(),
                                            b.input_cap, best_q)) {
@@ -186,8 +181,8 @@ void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
         nc.noise_slack = b.noise_margin;
         nc.dhat = 0.0;  // restoring gate: a fresh stage begins
         nc.plan = arena_.buffer(best->plan, PlannedBuffer{v, 0.0, bid});
-        additions[k + cost] = nc;
-        has[k + cost] = true;
+        additions[k + 1] = nc;
+        has[k + 1] = true;
       }
       for (std::size_t k = 0; k < additions.size(); ++k) {
         if (!has[k]) continue;
@@ -334,12 +329,6 @@ void expect_valid_inputs(const rct::RoutingTree& tree,
   // max_buffers + 1 buckets per phase: SIZE_MAX would wrap to none.
   NBUF_EXPECTS(options.max_buffers >= 1 &&
                options.max_buffers < std::numeric_limits<std::size_t>::max());
-  if (!options.buffer_costs.empty()) {
-    NBUF_REQUIRE_CTX(options.buffer_costs.size() == lib.size(),
-                     util::ctx("buffer_costs", options.buffer_costs.size(),
-                               "library types", lib.size()));
-    for (std::size_t c : options.buffer_costs) NBUF_EXPECTS(c >= 1);
-  }
 }
 
 VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
@@ -408,8 +397,6 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
   result.timing_met = chosen->slack >= 0.0;
   result.slack = chosen->slack;
   result.buffers = assignment_for(chosen->plan);
-  // With per-type costs the bucket index is total cost; report the true
-  // buffer count either way.
   result.buffer_count = result.buffers.size();
   result.wire_widths = chosen->wires;
   return result;

@@ -81,13 +81,6 @@ struct VgOptions {
   // extension, (load, slack) pruning is kept unchanged, so with multiple
   // buffer types the result is guaranteed feasible but only near-optimal.
   double max_slew = std::numeric_limits<double>::infinity();
-  // The Lillis "power function" generalization: candidate lists are indexed
-  // by total inserted COST rather than count. When non-empty it must have
-  // one positive integer entry per library type (e.g. gate area in unit
-  // cells); empty means every buffer costs 1, i.e. plain buffer counting.
-  // MinBuffersMeetingConstraints then minimizes total cost, and
-  // `max_buffers` caps total cost.
-  std::vector<std::size_t> buffer_costs;
   // DP inner-loop implementation; results are identical either way.
   VgKernel kernel = VgKernel::Fast;
   // Both kernels re-verify the sort/Pareto/no-dead-candidate invariants of
@@ -98,8 +91,7 @@ struct VgOptions {
   bool check_invariants = false;
 };
 
-// The best solution of exactly this total cost (= buffer count when no
-// buffer_costs are configured).
+// The best solution with exactly `count` buffers.
 struct CountBest {
   std::size_t count = 0;
   double slack = 0.0;       // q at the source output

@@ -88,10 +88,6 @@ class FastVgRun {
         arena_(arena),
         memo_(memo) {
     for (auto& tails : tails_) tails.resize(opt_.max_buffers + 1);
-    min_cost_ = 1;
-    if (!opt_.buffer_costs.empty())
-      min_cost_ = *std::min_element(opt_.buffer_costs.begin(),
-                                    opt_.buffer_costs.end());
     // Resistance is the only type parameter the feasibility predicates
     // read, and both are monotone in it: a view entry infeasible for the
     // lowest-R type is infeasible for every type.
@@ -137,7 +133,6 @@ class FastVgRun {
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
   // insert_buffers' fresh candidates, [phase][count] of their target.
   std::array<std::vector<std::vector<BufferRecord>>, 2> tails_;
-  std::size_t min_cost_ = 1;
   lib::BufferId min_r_type_{0};
   util::VgStats stats_;
 };
@@ -296,38 +291,25 @@ void FastVgRun::extend_wire(Lists& lists, rct::NodeId child) {
 void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
   NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.total_size());
   const std::size_t bucket_count = opt_.max_buffers + 1;
-  const auto cost_of = [&](lib::BufferId id) -> std::size_t {
-    return opt_.buffer_costs.empty() ? 1 : opt_.buffer_costs[id.value()];
-  };
   for (int in_phase = 0; in_phase < 2; ++in_phase) {
     const auto& buckets = lists.by_phase[in_phase];
-    for (std::size_t k = 0; k + min_cost_ < bucket_count; ++k) {
+    // A candidate of count k buffered here lands in bucket k + 1, so the
+    // last bucket feeds nothing.
+    for (std::size_t k = 0; k + 1 < bucket_count; ++k) {
       const CandSpan view = buckets[k].span();
       if (view.n == 0) continue;
       ++stats_.bp_prune_calls;
-      bool killed_booked = false;
       for (lib::BufferId id : lib_.ids()) {
-        // A type whose target bucket overflows the count cap is never
-        // evaluated, as in the reference loop.
-        if (k + cost_of(id) >= bucket_count) continue;
         const lib::BufferType& b = lib_.at(id);
         const BestPredecessor best = select_best_predecessor(
             view, b, opt_.noise_constraints, opt_.max_slew);
-        if (id == min_r_type_) {
-          stats_.bp_candidates_killed += best.infeasible;
-          killed_booked = true;
-        }
+        if (id == min_r_type_) stats_.bp_candidates_killed += best.infeasible;
         if (best.idx == BestPredecessor::kNone) continue;
         note_created(1);
         const int out_phase = b.inverting ? 1 - in_phase : in_phase;
-        tails_[out_phase][k + cost_of(id)].push_back(BufferRecord{
+        tails_[out_phase][k + 1].push_back(BufferRecord{
             b.input_cap, best.q, b.noise_margin, view.plan[best.idx], id});
       }
-      if (!killed_booked)
-        stats_.bp_candidates_killed +=
-            select_best_predecessor(view, lib_.at(min_r_type_),
-                                    opt_.noise_constraints, opt_.max_slew)
-                .infeasible;
     }
   }
   for (int phase = 0; phase < 2; ++phase) {

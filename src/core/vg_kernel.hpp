@@ -266,8 +266,8 @@ struct SubtreeMemo {
 };
 
 // The input contract of both DP entry points (core::optimize and
-// core::IncrementalContext): binary tree, non-empty library, a bucket count
-// that fits, and per-type costs matching the library.
+// core::IncrementalContext): binary tree, non-empty library and a bucket
+// count that fits.
 void expect_valid_inputs(const rct::RoutingTree& tree,
                          const lib::BufferLibrary& lib,
                          const VgOptions& options);

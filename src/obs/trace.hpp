@@ -3,10 +3,10 @@
 // The API is three layers, cheapest first:
 //
 //   1. NBUF_TRACE_SPAN("vg.optimize") / NBUF_TRACE_SPAN_TAGGED(name, tag)
-//      — an RAII span covering the enclosing scope. When NBUF_TRACING=0
-//      the macros expand to nothing (the benchmark floor, same discipline
-//      as NBUF_CONTRACTS=0). When NBUF_TRACING=1 and no recording is
-//      active, a span costs one relaxed atomic load and a branch.
+//      — an RAII span covering the enclosing scope. While no recording
+//      is active, a span costs one relaxed atomic load and a branch. Spans
+//      are always compiled in: a build without them measured within
+//      -2.8%..+0.8% of this one (docs/observability.md).
 //   2. NBUF_TRACE_DETAIL / NBUF_TRACE_DETAIL_TAGGED — per-node/per-list
 //      spans inside the DP kernels. Recorded only when the active
 //      recording was opened at TraceLevel::Detail; a Phase-level
@@ -208,14 +208,8 @@ struct PhaseRow {
 
 }  // namespace nbuf::obs
 
-#ifndef NBUF_TRACING
-#define NBUF_TRACING 1
-#endif
-
 #define NBUF_OBS_CAT2_(a, b) a##b
 #define NBUF_OBS_CAT_(a, b) NBUF_OBS_CAT2_(a, b)
-
-#if NBUF_TRACING
 
 #define NBUF_TRACE_SPAN(name_lit)                                       \
   const ::nbuf::obs::TraceSpan NBUF_OBS_CAT_(nbuf_trace_span_,          \
@@ -236,14 +230,3 @@ struct PhaseRow {
       (name_lit), ::nbuf::obs::TraceLevel::Detail,                      \
       [&]() noexcept { return static_cast<std::int64_t>(tag); })
 
-#else  // NBUF_TRACING == 0: spans vanish; sizeof keeps args type-checked
-       // and referenced without evaluating them.
-
-#define NBUF_TRACE_SPAN(name_lit) static_cast<void>(sizeof(name_lit))
-#define NBUF_TRACE_SPAN_TAGGED(name_lit, tag) \
-  static_cast<void>(sizeof(name_lit) + sizeof(tag))
-#define NBUF_TRACE_DETAIL(name_lit) static_cast<void>(sizeof(name_lit))
-#define NBUF_TRACE_DETAIL_TAGGED(name_lit, tag) \
-  static_cast<void>(sizeof(name_lit) + sizeof(tag))
-
-#endif  // NBUF_TRACING

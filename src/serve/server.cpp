@@ -15,6 +15,9 @@
 
 namespace nbuf::serve {
 
+// Most frames coalesced into one Session::handle_batch dispatch.
+constexpr std::size_t kMaxBatch = 64;
+
 struct Server::Impl {
   explicit Impl(ServerOptions o) : opt(std::move(o)) {}
 
@@ -115,8 +118,7 @@ struct Server::Impl {
         }
         c_bytes_in.add(kHeaderSize + f.payload.size());
         batch.push_back(std::move(f));
-      } while (batch.size() < opt.max_batch &&
-               readable_now(fd.get()));
+      } while (batch.size() < kMaxBatch && readable_now(fd.get()));
 
       if (!batch.empty()) {
         h_batch.observe(batch.size());

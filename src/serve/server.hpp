@@ -37,8 +37,6 @@ struct ServerOptions {
   std::size_t threads = 1;
   // LOAD_NET segmenting granularity (µm) unless the request overrides it.
   double segment_um = 500.0;
-  // Maximum coalesced batch size per dispatch.
-  std::size_t max_batch = 64;
 };
 
 class Server {

@@ -18,6 +18,10 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+// Golden peaks below this floor (volt) are excluded from the pessimism
+// ratio statistics (the ratio metric/golden degenerates as peak -> 0).
+constexpr double kPessimismFloor = 1e-3;
+
 std::size_t bin_of(double ratio) {
   if (ratio < 1.0) return 0;
   const auto i = static_cast<std::size_t>(
@@ -25,12 +29,12 @@ std::size_t bin_of(double ratio) {
   return std::min(i + 1, PessimismStats::kBinCount - 1);
 }
 
+}  // namespace
+
 void track_min(double& worst, double candidate) {
   if (std::isnan(candidate)) return;
   worst = std::min(worst, candidate);
 }
-
-}  // namespace
 
 const char* to_string(ViolationKind kind) {
   switch (kind) {
@@ -141,7 +145,7 @@ SignoffReport assemble(const std::string& name, const rct::RoutingTree& tree,
       leaf.golden_peak = g.peak;
       leaf.golden_slack = g.slack;
       leaf.golden_width = g.width;
-      if (g.peak >= options.pessimism_floor) {
+      if (g.peak >= kPessimismFloor) {
         leaf.pessimism = m.noise / g.peak;
         rep.pessimism.add(leaf.pessimism);
       }
@@ -262,10 +266,22 @@ SignoffReport verify_result(const std::string& name,
       verify_results({&label, 1}, {&result, 1}, lib, widths, options).front());
 }
 
-namespace {
+void write_pessimism_json(util::JsonWriter& j, const PessimismStats& p) {
+  j.begin_object();
+  j.field("samples", p.samples);
+  j.field("min", p.samples ? p.min : kNaN);
+  j.field("mean", p.samples ? p.mean() : kNaN);
+  j.field("max", p.samples ? p.max : kNaN);
+  j.field("bin_width", PessimismStats::kBinWidth);
+  j.key("bins");
+  j.begin_array();
+  for (std::size_t b : p.bins) j.value(b);
+  j.end_array();
+  j.end_object();
+}
 
-void write_report(JsonWriter& j, const SignoffReport& rep,
-                  bool include_leaves) {
+void write_report_json(util::JsonWriter& j, const SignoffReport& rep,
+                       bool include_leaves) {
   j.begin_object();
   j.field("net", std::string_view(rep.net));
   j.field("pass", rep.pass());
@@ -293,17 +309,7 @@ void write_report(JsonWriter& j, const SignoffReport& rep,
   }
   j.end_array();
   j.key("pessimism");
-  j.begin_object();
-  j.field("samples", rep.pessimism.samples);
-  j.field("min", rep.pessimism.samples ? rep.pessimism.min : kNaN);
-  j.field("mean", rep.pessimism.samples ? rep.pessimism.mean() : kNaN);
-  j.field("max", rep.pessimism.samples ? rep.pessimism.max : kNaN);
-  j.field("bin_width", PessimismStats::kBinWidth);
-  j.key("bins");
-  j.begin_array();
-  for (std::size_t b : rep.pessimism.bins) j.value(b);
-  j.end_array();
-  j.end_object();
+  write_pessimism_json(j, rep.pessimism);
   if (include_leaves) {
     j.key("leaves");
     j.begin_array();
@@ -332,17 +338,10 @@ void write_report(JsonWriter& j, const SignoffReport& rep,
   j.end_object();
 }
 
-}  // namespace
-
 std::string to_json(const SignoffReport& report) {
-  JsonWriter j;
-  write_report(j, report, /*include_leaves=*/true);
+  util::JsonWriter j;
+  write_report_json(j, report, /*include_leaves=*/true);
   return j.str();
-}
-
-void write_report_json(JsonWriter& j, const SignoffReport& report,
-                       bool include_leaves) {
-  write_report(j, report, include_leaves);
 }
 
 }  // namespace nbuf::signoff

@@ -77,9 +77,6 @@ struct SignoffOptions {
   // honored: a ConvergenceError becomes a NotConverged violation rather
   // than an exception, so one bad net cannot abort a workload run.
   sim::GoldenOptions golden;
-  // Golden peaks below this floor (volt) are excluded from the pessimism
-  // ratio statistics (the ratio metric/golden degenerates as peak -> 0).
-  double pessimism_floor = 1e-3;
 };
 
 // One stage leaf (true sink or buffer input pin), all three engines joined.
@@ -93,7 +90,7 @@ struct LeafSignoff {
   double golden_peak = 0.0;    // volt — simulated
   double golden_slack = 0.0;   // volt
   double golden_width = 0.0;   // second — pulse width at half peak
-  double pessimism = 0.0;      // metric_noise / golden_peak; 0 below floor
+  double pessimism = 0.0;      // metric_noise / golden_peak; 0 below 1 mV
   double delay = 0.0;          // second — true sinks only
   double timing_slack = 0.0;   // second — true sinks only
   bool pass = true;            // no violation at this leaf
@@ -108,7 +105,7 @@ struct PessimismStats {
   static constexpr double kBinWidth = 0.25;
   static constexpr std::size_t kBinCount = 18;  // bin 0 + ratios up to 5.25+
 
-  std::size_t samples = 0;  // leaves with golden peak above the floor
+  std::size_t samples = 0;  // leaves with golden peak of 1 mV or more
   double min = 0.0;
   double max = 0.0;
   double sum = 0.0;  // of ratios — mean() derives from it, so merging in a
@@ -175,11 +172,15 @@ struct SignoffReport {
 
 // Appends one report into an in-progress JSON document (the workload
 // serializer embeds per-net reports this way); the per-leaf rows are the
-// bulky part and can be omitted. The emitter itself lives in util/json.hpp
-// (shared with the observability exporters); the alias keeps the historic
-// signoff::JsonWriter spelling working.
-using JsonWriter = util::JsonWriter;
-void write_report_json(JsonWriter& j, const SignoffReport& report,
+// bulky part and can be omitted.
+void write_report_json(util::JsonWriter& j, const SignoffReport& report,
                        bool include_leaves);
+
+// Appends the "pessimism" object that reports and workloads share.
+void write_pessimism_json(util::JsonWriter& j, const PessimismStats& p);
+
+// Lowers `worst` to `candidate` unless candidate is NaN: a golden quantity
+// that was never computed leaves the running minimum alone.
+void track_min(double& worst, double candidate);
 
 }  // namespace nbuf::signoff

@@ -21,11 +21,6 @@ namespace {
 // (EXPERIMENTS.md F-R).
 constexpr std::size_t kChunkNets = 16;
 
-void track_min(double& worst, double candidate) {
-  if (std::isnan(candidate)) return;
-  worst = std::min(worst, candidate);
-}
-
 // +inf accumulators render as 0 when nothing contributed (no converged
 // leaf at all — e.g. every net infeasible).
 double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
@@ -104,7 +99,7 @@ WorkloadSignoff run_workload(const std::vector<batch::BatchNet>& nets,
 }
 
 std::string to_json(const WorkloadSignoff& w, bool include_leaves) {
-  JsonWriter j;
+  util::JsonWriter j;
   j.begin_object();
   j.field("schema", std::string_view("nbuf-signoff-v1"));
   j.field("pass", w.pass());
@@ -125,23 +120,7 @@ std::string to_json(const WorkloadSignoff& w, bool include_leaves) {
   j.field("timing_slack", w.worst_timing_slack);
   j.end_object();
   j.key("pessimism");
-  j.begin_object();
-  j.field("samples", w.pessimism.samples);
-  j.field("min", w.pessimism.samples
-                     ? w.pessimism.min
-                     : std::numeric_limits<double>::quiet_NaN());
-  j.field("mean", w.pessimism.samples
-                      ? w.pessimism.mean()
-                      : std::numeric_limits<double>::quiet_NaN());
-  j.field("max", w.pessimism.samples
-                     ? w.pessimism.max
-                     : std::numeric_limits<double>::quiet_NaN());
-  j.field("bin_width", PessimismStats::kBinWidth);
-  j.key("bins");
-  j.begin_array();
-  for (std::size_t b : w.pessimism.bins) j.value(b);
-  j.end_array();
-  j.end_object();
+  write_pessimism_json(j, w.pessimism);
   j.field("wall_seconds", w.wall_seconds);
   j.key("reports");
   j.begin_array();

@@ -13,6 +13,10 @@ namespace nbuf::sim {
 
 namespace {
 
+// March horizon: driver_rise + kSettleTaus * stage tau, long enough for
+// every node to cross 50%.
+constexpr double kSettleTaus = 12.0;
+
 // 50% crossing time at every sim node of one stage whose driver ramps
 // 0 -> vdd behind `driver_resistance`. Coupled capacitance is grounded
 // (quiet neighbors during the timing event).
@@ -28,8 +32,7 @@ std::vector<double> stage_crossings(const StageCircuit& c,
   double c_total = 0.0;
   for (std::size_t i = 1; i < n; ++i) r_total += 1.0 / c.branch_g[i];
   for (std::size_t i = 0; i < n; ++i) c_total += c.total_cap(i);
-  const double t_end =
-      opt.driver_rise + opt.settle_time_constants * r_total * c_total;
+  const double t_end = opt.driver_rise + kSettleTaus * r_total * c_total;
 
   std::vector<double> extra(n, 0.0);
   extra[0] = 1.0 / driver_resistance;

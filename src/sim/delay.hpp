@@ -26,7 +26,6 @@ struct StepDelayOptions {
                                  // aggressors during a timing event)
   double section_length = 100.0; // µm
   double steps_per_rise = 50.0;
-  double settle_time_constants = 12.0;
 };
 
 struct SinkStepDelay {

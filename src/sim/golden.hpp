@@ -34,30 +34,36 @@
 
 namespace nbuf::sim {
 
+// Settling horizon: t0 + rise + kSettleTimeConstants * stage tau. A
+// stage's march ends earlier, exactly, once no reported peak or width can
+// change any more (docs/signoff.md, "How the march ends").
+inline constexpr double kSettleTimeConstants = 8.0;
+// The step-size sanity check (GoldenOptions::check_convergence) accepts a
+// leaf whose coarse and dt/2 peaks differ by at most
+// max(kConvergenceAtol, kConvergenceRtol * fine peak).
+inline constexpr double kConvergenceRtol = 0.02;  // relative peak tolerance
+inline constexpr double kConvergenceAtol = 1e-4;  // volt — near-zero peaks
+
 struct GoldenOptions {
   double coupling_ratio = 0.0;  // lambda — fraction of wire cap that couples
   SaturatedRamp aggressor;      // the switching neighbor
   double section_length = 100.0;    // µm — pi-section granularity
-  double steps_per_rise = 200.0;    // timestep = rise / steps_per_rise
-  // Settling horizon: t0 + rise + k * stage tau. A stage's march ends
-  // earlier, exactly, once no reported peak or width can change any more
-  // (docs/signoff.md, "How the march ends").
-  double settle_time_constants = 8.0;
+  // timestep = rise / steps_per_rise. Integral, so the ramp ends exactly
+  // on a step boundary at this dt and at dt/2 alike.
+  double steps_per_rise = 200.0;
   // Step-size sanity check: every stage is re-simulated with the timestep
-  // halved, and each leaf's peak must agree with the coarse run within
-  // max(convergence_atol, convergence_rtol * peak). A disagreement means
-  // the backward-Euler march has not converged at this dt, i.e. the
-  // reported peaks are discretization artifacts — golden_analyze throws
-  // ConvergenceError instead of returning untrustworthy numbers. Doubles
-  // the simulation cost; meant for signoff runs, off by default.
+  // halved, and each leaf's peak must agree with the coarse run within the
+  // tolerance above. A disagreement means the backward-Euler march has not
+  // converged at this dt, i.e. the reported peaks are discretization
+  // artifacts — golden_analyze throws ConvergenceError instead of
+  // returning untrustworthy numbers. Doubles the simulation cost; meant
+  // for signoff runs, off by default.
   bool check_convergence = false;
-  double convergence_rtol = 0.02;   // relative peak tolerance
-  double convergence_atol = 1e-4;   // volt — floor for near-zero peaks
 
   // Throws std::invalid_argument unless every field is finite, with
-  // steps_per_rise >= 1, settle_time_constants >= 0, section_length > 0,
-  // 0 <= coupling_ratio < 1, aggressor vdd > 0, rise > 0 and t0 >= 0, and
-  // both convergence tolerances >= 0. Every golden entry point calls it.
+  // steps_per_rise an integer >= 1, section_length > 0,
+  // 0 <= coupling_ratio < 1, aggressor vdd > 0, rise > 0 and t0 >= 0.
+  // Every golden entry point calls it.
   void validate() const;
 };
 
@@ -152,7 +158,8 @@ inline constexpr std::size_t kMarchLanes = 8;
 struct StageMarch {
   const StageCircuit* circuit = nullptr;
   double driver_resistance = 0.0;  // ohm, > 0
-  double steps_per_rise = 0.0;     // timestep = aggressor.rise / this, >= 1
+  double steps_per_rise = 0.0;     // timestep = aggressor.rise / this;
+                                   // an integer >= 1
   std::vector<std::size_t> peak_nodes;   // sim nodes whose peaks are reported
   std::vector<std::size_t> trace_nodes;  // sim nodes whose widths are measured
 };

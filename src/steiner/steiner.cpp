@@ -129,8 +129,7 @@ double manhattan(Point a, Point b) {
 
 rct::RoutingTree build_tree(Point source_at, rct::Driver driver,
                             const std::vector<PinSpec>& pins,
-                            const lib::Technology& tech,
-                            const Options& options) {
+                            const lib::Technology& tech) {
   NBUF_EXPECTS_MSG(!pins.empty(), "a net needs at least one sink");
   tech.validate();
   const GeomTree g = route(source_at, pins);
@@ -140,9 +139,7 @@ rct::RoutingTree build_tree(Point source_at, rct::Driver driver,
     w.length = length;
     w.resistance = tech.wire_res(length);
     w.capacitance = tech.wire_cap(length);
-    w.coupling_current =
-        options.estimation_mode_coupling ? tech.wire_coupling_current(length)
-                                         : 0.0;
+    w.coupling_current = tech.wire_coupling_current(length);
     return w;
   };
 

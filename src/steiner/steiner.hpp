@@ -30,20 +30,13 @@ struct PinSpec {
   rct::SinkInfo info;
 };
 
-struct Options {
-  // Estimation-mode coupling: when true every wire gets
-  // coupling_current = tech.coupling_current_per_um() * length; when false
-  // wires start with zero coupling current (caller applies noise::coupling).
-  bool estimation_mode_coupling = true;
-};
-
 // Routes `pins` from the source, returning an electrically annotated
 // routing tree (already binarized). Steiner points and L-bends become
-// buffer-allowed internal nodes.
+// buffer-allowed internal nodes. Wires carry estimation-mode coupling:
+// coupling_current = tech.wire_coupling_current(length).
 [[nodiscard]] rct::RoutingTree build_tree(Point source_at, rct::Driver driver,
                                           const std::vector<PinSpec>& pins,
-                                          const lib::Technology& tech,
-                                          const Options& options = {});
+                                          const lib::Technology& tech);
 
 // Total routed wirelength of the Steiner tree over `pins` without building
 // the electrical tree (used by the workload generator for sizing).

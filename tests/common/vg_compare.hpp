@@ -1,6 +1,7 @@
-// Bit-identity comparison of two VgResults, shared by the kernel
-// differential suites (test_vg_kernel on the paper library,
-// test_library_kernel on randomized multi-type libraries).
+// Bit-identity comparison of two VgResults and the option cycle, shared by
+// the kernel differential suites (test_vg_kernel on the paper library,
+// test_library_kernel and test_soa_kernel on randomized multi-type
+// libraries).
 //
 // Every deterministic field must agree EXACTLY — slack bits, buffer
 // placements, wire widths, the whole per_count table, and the legacy DP
@@ -19,9 +20,40 @@
 #include <vector>
 
 #include "core/vanginneken.hpp"
+#include "lib/wire.hpp"
 #include "rct/assignment.hpp"
+#include "util/units.hpp"
 
 namespace nbuf::test {
+
+// The six option variants the kernel differential suites cycle over. Every
+// variant keeps check_invariants on for the fast run, so the differential
+// sweeps double as the largest property-test corpus.
+inline core::VgOptions kernel_variant(std::size_t which) {
+  core::VgOptions opt;
+  opt.check_invariants = true;
+  switch (which % 6) {
+    case 0:  // BuffOpt shape: noise-constrained, best slack
+      break;
+    case 1:  // DelayOpt baseline
+      opt.noise_constraints = false;
+      break;
+    case 2:  // Problem 3 objective
+      opt.objective = core::VgObjective::MinBuffersMeetingConstraints;
+      break;
+    case 3:  // simultaneous wire sizing (the sorting fork path)
+      opt.wire_widths = lib::default_wire_widths();
+      break;
+    case 4:  // BuffOpt under a binding count cap
+      opt.max_buffers = 2;
+      break;
+    case 5:  // slew-limited, delay-only
+      opt.noise_constraints = false;
+      opt.max_slew = 150.0 * units::ps;
+      break;
+  }
+  return opt;
+}
 
 inline std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_entries(
     const rct::BufferAssignment& a) {

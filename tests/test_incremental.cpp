@@ -48,8 +48,8 @@ core::VgOptions inc_options() {
 
 // inc_options() in six shapes, one per DP path the memo must carry
 // bit-identically: the BuffOpt default, the min-buffers objective, wire
-// sizing (the fork/sort path), Lillis buffer costs, a finite slew
-// limit, and DelayOpt without noise constraints.
+// sizing (the fork/sort path), a binding count cap, a finite slew limit,
+// and DelayOpt without noise constraints.
 core::VgOptions inc_variant(int which) {
   core::VgOptions opt = inc_options();
   switch (which % 6) {
@@ -62,9 +62,7 @@ core::VgOptions inc_variant(int which) {
       opt.wire_widths = lib::default_wire_widths();
       break;
     case 3:
-      opt.buffer_costs.assign(kLib.size(), 1);
-      for (std::size_t i = 0; i < opt.buffer_costs.size(); i += 2)
-        opt.buffer_costs[i] = 2;
+      opt.max_buffers = 2;
       break;
     case 4:
       opt.max_slew = 150.0 * ps;

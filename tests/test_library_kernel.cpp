@@ -27,16 +27,13 @@
 #include "common/vg_compare.hpp"
 #include "core/vanginneken.hpp"
 #include "lib/buffer.hpp"
-#include "lib/wire.hpp"
 #include "netgen/netgen.hpp"
 #include "seg/segment.hpp"
 #include "util/stats.hpp"
-#include "util/units.hpp"
 
 namespace {
 
 using namespace nbuf;
-using namespace nbuf::units;
 using test::expect_identical;
 
 core::VgResult run_kernel(const rct::RoutingTree& segmented,
@@ -44,36 +41,6 @@ core::VgResult run_kernel(const rct::RoutingTree& segmented,
                           core::VgOptions opt, core::VgKernel kernel) {
   opt.kernel = kernel;
   return core::optimize(segmented, library, opt);
-}
-
-// The test_vg_kernel option cycle, parameterized on the library size so
-// the buffer-cost variant stays valid for every fuzzed library.
-core::VgOptions variant(std::size_t which, std::size_t lib_size) {
-  core::VgOptions opt;
-  opt.check_invariants = true;
-  switch (which % 6) {
-    case 0:  // BuffOpt shape: noise-constrained, best slack
-      break;
-    case 1:  // DelayOpt baseline
-      opt.noise_constraints = false;
-      break;
-    case 2:  // Problem 3 objective
-      opt.objective = core::VgObjective::MinBuffersMeetingConstraints;
-      break;
-    case 3:  // simultaneous wire sizing (the sorting fork path)
-      opt.wire_widths = lib::default_wire_widths();
-      break;
-    case 4:  // Lillis buffer costs: bucket index = total cost
-      opt.buffer_costs.assign(lib_size, 1);
-      for (std::size_t i = 0; i < opt.buffer_costs.size(); i += 2)
-        opt.buffer_costs[i] = 2;
-      break;
-    case 5:  // slew-limited, delay-only
-      opt.noise_constraints = false;
-      opt.max_slew = 150.0 * ps;
-      break;
-  }
-  return opt;
 }
 
 TEST(LibraryKernel, DifferentialFuzzAcrossLibrarySizesAndPolarities) {
@@ -108,7 +75,7 @@ TEST(LibraryKernel, DifferentialFuzzAcrossLibrarySizesAndPolarities) {
         SCOPED_TRACE(nets[i].name + " variant " + std::to_string(i % 6));
         rct::RoutingTree segmented = nets[i].tree;
         seg::segment(segmented, {500.0});
-        const core::VgOptions opt = variant(i, b);
+        const core::VgOptions opt = test::kernel_variant(i);
         const auto fast =
             run_kernel(segmented, library, opt, core::VgKernel::Fast);
         const auto ref =
@@ -143,7 +110,7 @@ TEST(LibraryKernel, SingleTypeRandomLibraryMatchesAcrossKernels) {
   seg::segment(segmented, {500.0});
   for (std::size_t v = 0; v < 6; ++v) {
     SCOPED_TRACE("variant " + std::to_string(v));
-    const core::VgOptions opt = variant(v, 1);
+    const core::VgOptions opt = test::kernel_variant(v);
     const auto fast =
         run_kernel(segmented, library, opt, core::VgKernel::Fast);
     const auto ref =

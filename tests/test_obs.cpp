@@ -112,7 +112,6 @@ TEST(Trace, SpanWithoutRecordingIsNoop) {
   EXPECT_EQ(data.event_count(), 0u);
 }
 
-#if NBUF_TRACING
 TEST(Trace, TagExpressionLazyWhenNotRecording) {
   int evaluations = 0;
   { NBUF_TRACE_SPAN_TAGGED("lazy", ++evaluations); }
@@ -124,9 +123,7 @@ TEST(Trace, TagExpressionLazyWhenNotRecording) {
   ASSERT_EQ(data.event_count(), 1u);
   EXPECT_EQ(data.threads[0].events[0].tag, 1);
 }
-#endif
 
-#if NBUF_TRACING
 TEST(Trace, RecordingCapturesNestingDepthAndTags) {
   obs::TraceRecording rec;
   {
@@ -178,7 +175,6 @@ TEST(Trace, DetailRecordingKeepsBothLevels) {
   const obs::TraceData data = rec.stop();
   EXPECT_EQ(data.event_count(), 2u);
 }
-#endif
 
 TEST(Trace, SecondConcurrentRecordingThrows) {
   obs::TraceRecording rec;
@@ -189,7 +185,6 @@ TEST(Trace, SecondConcurrentRecordingThrows) {
   (void)third.stop();
 }
 
-#if NBUF_TRACING
 TEST(Trace, PhaseBreakdownCountsPerName) {
   obs::TraceRecording rec;
   for (int i = 0; i < 3; ++i) {
@@ -205,7 +200,6 @@ TEST(Trace, PhaseBreakdownCountsPerName) {
   EXPECT_EQ(rows[1].count, 3u);
   EXPECT_GE(rows[1].seconds, rows[0].seconds);  // inclusive parent time
 }
-#endif
 
 TEST(Trace, PhaseBreakdownSelfTimeSubtractsDirectChildren) {
   // Hand-built nesting with exact nanosecond durations (depth in brackets):
@@ -325,9 +319,7 @@ TEST(TraceStress, CountersAndStructureIdenticalAcrossThreadCounts) {
     if (c.name == "stress.work") got = c.value;
   EXPECT_EQ(got, expected_work);
 
-#if NBUF_TRACING
   EXPECT_GT(one.events, 512u);
-#endif
   EXPECT_EQ(one.events, eight.events);
   // The two determinism contracts (docs/observability.md).
   EXPECT_TRUE(one.snapshot.deterministic_equal(eight.snapshot));
@@ -404,11 +396,9 @@ TEST(Exporters, ChromeTraceSchemaIsValid) {
   EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
   const obs::JsonValue& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
-#if NBUF_TRACING
   // One metadata event per participating thread (fast workers may claim
   // the whole queue, so 1 or 2 threads register) + all 128 spans.
   ASSERT_EQ(events.array.size(), data.threads.size() + 128u);
-#endif
   std::vector<double> last_ts(data.threads.size() + 1, 0.0);
   std::size_t metadata = 0, complete = 0, tagged = 0;
   for (const obs::JsonValue& e : events.array) {
@@ -432,10 +422,8 @@ TEST(Exporters, ChromeTraceSchemaIsValid) {
     if (e.has("args") && e.at("args").has("tag")) ++tagged;
   }
   EXPECT_EQ(metadata, data.threads.size());
-#if NBUF_TRACING
   EXPECT_EQ(complete, 128u);
   EXPECT_EQ(tagged, 64u);  // only export.item carries a tag
-#endif
 }
 
 TEST(Exporters, MetricsJsonSchemaIsValid) {
@@ -463,13 +451,11 @@ TEST(Exporters, RecordTraceFoldsCountsAndTags) {
   const obs::TraceData data = two_thread_trace();
   obs::MetricsRegistry reg;
   obs::record_trace(reg, data);
-#if NBUF_TRACING
   EXPECT_EQ(reg.counter("trace.export.item.count").value(), 64u);
   EXPECT_EQ(reg.counter("trace.export.child.count").value(), 64u);
   // Tags 0..63 all nonnegative -> all observed.
   EXPECT_EQ(reg.histogram("trace.export.item.tag").count(), 64u);
   EXPECT_EQ(reg.histogram("trace.export.item.tag").sum(), 64u * 63u / 2);
-#endif
 }
 
 }  // namespace

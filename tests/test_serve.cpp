@@ -21,6 +21,7 @@
 #include "io/netfile.hpp"
 #include "lib/buffer.hpp"
 #include "netgen/netgen.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -581,6 +582,34 @@ TEST(ServeEndToEnd, RequestFaultKeepsTheConnectionAlive) {
   const Frame st = client.call(Opcode::Stats, "");
   ASSERT_TRUE(is_ok(st)) << st.payload;
   EXPECT_EQ(field_of(st.payload, "errors"), "1");
+  server.stop();
+}
+
+// One client pipelines more frames than one dispatch coalesces. Every
+// response comes back in request order, and no batch the server handed to
+// the session was larger than its cap of 64 frames.
+TEST(ServeEndToEnd, PipelinedFloodIsAnsweredInOrderInCappedBatches) {
+  constexpr std::size_t kFrames = 100;
+  serve::Server server;
+  server.start();
+  serve::Client client = serve::Client::connect("127.0.0.1", server.port());
+  const std::vector<std::pair<Opcode, std::string>> script(
+      kFrames, {Opcode::Stats, ""});
+  const std::vector<Frame> responses = client.pipeline(script);
+  ASSERT_EQ(responses.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(is_ok(responses[i])) << i << ": " << responses[i].payload;
+    EXPECT_EQ(responses[i].request_id, i + 1);
+    if (i > 0) {  // the session saw the frames in the order they were sent
+      EXPECT_EQ(std::stoul(field_of(responses[i].payload, "requests")),
+                std::stoul(field_of(responses[i - 1].payload, "requests")) + 1);
+    }
+  }
+  const obs::Histogram& batches =
+      server.metrics().histogram("serve.batch_size");
+  EXPECT_EQ(batches.sum(), kFrames);
+  EXPECT_GE(batches.count(), 2u);
+  EXPECT_LE(batches.max(), 64u);
   server.stop();
 }
 

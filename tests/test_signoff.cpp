@@ -36,7 +36,7 @@ signoff::SignoffOptions default_options() {
 // --- JsonWriter ----------------------------------------------------------
 
 TEST(JsonWriter, NestedStructure) {
-  signoff::JsonWriter j;
+  util::JsonWriter j;
   j.begin_object();
   j.field("a", std::size_t{1});
   j.key("b");
@@ -50,7 +50,7 @@ TEST(JsonWriter, NestedStructure) {
 }
 
 TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
-  signoff::JsonWriter j;
+  util::JsonWriter j;
   j.begin_array();
   j.value(std::numeric_limits<double>::quiet_NaN());
   j.value(std::numeric_limits<double>::infinity());

@@ -105,15 +105,6 @@ TEST(Steiner, ElectricalAnnotationMatchesTechnology) {
   EXPECT_NEAR(w.coupling_current, tech.wire_coupling_current(1234.0), 1e-12);
 }
 
-TEST(Steiner, CouplingOffMode) {
-  const auto tech = lib::default_technology();
-  steiner::Options opt;
-  opt.estimation_mode_coupling = false;
-  auto t = steiner::build_tree({0, 0}, default_driver(),
-                               pins_at({{1000, 500}}), tech, opt);
-  EXPECT_DOUBLE_EQ(t.total_coupling_current(), 0.0);
-}
-
 TEST(Steiner, EstimateWirelengthAgreesWithBuild) {
   const auto tech = lib::default_technology();
   const auto pins = pins_at({{1000, 0}, {500, 800}, {1500, 300}});

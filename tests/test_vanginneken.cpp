@@ -363,107 +363,6 @@ TEST(VanGinneken, PolarityBruteForceWithInverters) {
   EXPECT_TRUE(res.buffers.inverted_at(t, two, t.sinks().front().node));
 }
 
-// --- buffer-cost generalization (Lillis power function) ---------------------------
-
-TEST(VanGinnekenCost, UnitCostsMatchDefault) {
-  auto t = segmented_two_pin(9000.0, 500.0);
-  core::VgOptions plain, unit;
-  plain.noise_constraints = true;
-  unit.noise_constraints = true;
-  unit.buffer_costs.assign(kLib.size(), 1);
-  const auto a = core::optimize(t, kLib, plain);
-  const auto b = core::optimize(t, kLib, unit);
-  EXPECT_DOUBLE_EQ(a.slack, b.slack);
-  EXPECT_EQ(a.buffer_count, b.buffer_count);
-}
-
-TEST(VanGinnekenCost, MinCostPrefersCheapTypes) {
-  // Two types both able to fix the noise; the strong one costs 6x. The
-  // min-cost objective under a generous RAT must pick the cheap one.
-  lib::BufferLibrary two;
-  two.add({"cheap", 140.0, 28 * fF, 28 * ps, 0.8, false});
-  two.add({"posh", 45.0, 84 * fF, 25 * ps, 0.8, false});
-  auto t = segmented_two_pin(5000.0, 250.0, /*rat=*/50 * ns);
-  core::VgOptions opt;
-  opt.noise_constraints = true;
-  opt.objective = core::VgObjective::MinBuffersMeetingConstraints;
-  opt.buffer_costs = {1, 6};
-  const auto res = core::optimize(t, two, opt);
-  ASSERT_TRUE(res.feasible);
-  for (const auto& [node, type] : res.buffers.entries())
-    EXPECT_EQ(two.at(type).name, "cheap");
-}
-
-TEST(VanGinnekenCost, CostCapLimitsExpensiveTypes) {
-  lib::BufferLibrary two;
-  two.add({"cheap", 600.0, 6 * fF, 16 * ps, 0.8, false});
-  two.add({"posh", 45.0, 84 * fF, 25 * ps, 0.8, false});
-  auto t = segmented_two_pin(8000.0, 500.0);
-  core::VgOptions opt;
-  opt.noise_constraints = false;
-  opt.buffer_costs = {1, 4};
-  opt.max_buffers = 4;  // total cost budget: one posh OR four cheap
-  const auto res = core::optimize(t, two, opt);
-  std::size_t cost = 0;
-  for (const auto& [node, type] : res.buffers.entries())
-    cost += two.at(type).name == "posh" ? 4 : 1;
-  EXPECT_LE(cost, 4u);
-}
-
-TEST(VanGinnekenCost, MatchesCostBruteForce) {
-  // Exhaustive min-cost meeting noise+timing on a small net.
-  lib::BufferLibrary two;
-  two.add({"cheap", 280.0, 14 * fF, 30 * ps, 0.8, false});
-  two.add({"posh", 45.0, 84 * fF, 25 * ps, 0.8, false});
-  const std::vector<std::size_t> costs = {1, 3};
-  auto t = segmented_two_pin(5000.0, 1250.0, /*rat=*/50 * ns);
-  std::vector<rct::NodeId> sites;
-  for (auto id : t.preorder())
-    if (t.node(id).kind == rct::NodeKind::Internal &&
-        t.node(id).buffer_allowed)
-      sites.push_back(id);
-  std::size_t best_cost = SIZE_MAX;
-  rct::BufferAssignment a;
-  std::function<void(std::size_t, std::size_t)> rec =
-      [&](std::size_t i, std::size_t cost) {
-        if (i == sites.size()) {
-          if (!noise::analyze(t, a, two).clean()) return;
-          if (elmore::analyze(t, a, two).worst_slack < 0.0) return;
-          best_cost = std::min(best_cost, cost);
-          return;
-        }
-        rec(i + 1, cost);
-        for (std::size_t b = 0; b < two.size(); ++b) {
-          a.place(sites[i], lib::BufferId{static_cast<unsigned>(b)});
-          rec(i + 1, cost + costs[b]);
-          a.remove(sites[i]);
-        }
-      };
-  rec(0, 0);
-  ASSERT_NE(best_cost, SIZE_MAX);
-
-  core::VgOptions opt;
-  opt.noise_constraints = true;
-  opt.objective = core::VgObjective::MinBuffersMeetingConstraints;
-  opt.buffer_costs = costs;
-  const auto res = core::optimize(t, two, opt);
-  ASSERT_TRUE(res.feasible && res.timing_met);
-  std::size_t got = 0;
-  for (const auto& [node, type] : res.buffers.entries())
-    got += costs[type.value()];
-  EXPECT_EQ(got, best_cost);
-}
-
-TEST(VanGinnekenCost, RejectsBadCostVector) {
-  auto t = segmented_two_pin(2000.0, 500.0);
-  core::VgOptions opt;
-  opt.buffer_costs = {1, 2};  // wrong arity for the 11-type library
-  EXPECT_THROW((void)core::optimize(t, kLib, opt), std::invalid_argument);
-  opt.buffer_costs.assign(kLib.size(), 1);
-  opt.buffer_costs[3] = 0;
-  EXPECT_THROW((void)core::optimize(t, kLib, opt), std::invalid_argument);
-}
-
 // --- guards ---------------------------------------------------------------------
 
 TEST(VanGinneken, RejectsNonBinaryTree) {

@@ -5,9 +5,9 @@
 //    kernel — same slack bits, same buffer placements, same wire widths,
 //    same per_count table, same legacy DP counters —
 //    across generated single- and multi-sink nets, with and without noise
-//    constraints, wire sizing, buffer costs, and slew limits. The default
-//    library mixes inverting and non-inverting types, so polarity buckets
-//    are always exercised.
+//    constraints, wire sizing, a binding count cap, and slew limits. The
+//    default library mixes inverting and non-inverting types, so polarity
+//    buckets are always exercised.
 //  * Routing: the unpruned ablation (prune_candidates = false) runs the
 //    reference kernel even when the fast one is selected.
 //  * Property: with VgOptions::check_invariants the fast kernel re-verifies
@@ -35,12 +35,10 @@
 #include "seg/segment.hpp"
 #include "steiner/builders.hpp"
 #include "util/rng.hpp"
-#include "util/units.hpp"
 
 namespace {
 
 using namespace nbuf;
-using namespace nbuf::units;
 
 const lib::BufferLibrary kLib = lib::default_library();
 
@@ -53,37 +51,6 @@ core::VgResult run_kernel(const rct::RoutingTree& segmented,
 // Bit-identity comparison (sorted_entries/expect_identical) lives in
 // common/vg_compare.hpp, shared with test_library_kernel.
 using test::expect_identical;
-
-// The six option variants cycled over the workload. Every variant keeps
-// check_invariants on for the fast run, so the differential sweep doubles
-// as the largest property-test corpus.
-core::VgOptions variant(std::size_t which) {
-  core::VgOptions opt;
-  opt.check_invariants = true;
-  switch (which % 6) {
-    case 0:  // BuffOpt shape: noise-constrained, best slack
-      break;
-    case 1:  // DelayOpt baseline
-      opt.noise_constraints = false;
-      break;
-    case 2:  // Problem 3 objective
-      opt.objective = core::VgObjective::MinBuffersMeetingConstraints;
-      break;
-    case 3:  // simultaneous wire sizing (the sorting fork path)
-      opt.wire_widths = lib::default_wire_widths();
-      break;
-    case 4:  // Lillis buffer costs: bucket index = total cost
-      opt.buffer_costs.assign(kLib.size(), 1);
-      for (std::size_t i = 0; i < opt.buffer_costs.size(); i += 2)
-        opt.buffer_costs[i] = 2;
-      break;
-    case 5:  // slew-limited, delay-only
-      opt.noise_constraints = false;
-      opt.max_slew = 150.0 * ps;
-      break;
-  }
-  return opt;
-}
 
 void check_net(const rct::RoutingTree& net, const core::VgOptions& opt) {
   rct::RoutingTree segmented = net;
@@ -106,7 +73,7 @@ TEST(VgKernel, DifferentialBitIdenticalOnGeneratedMultiSinkNets) {
   for (std::size_t i = 0; i < nets.size(); ++i) {
     SCOPED_TRACE(nets[i].name + " variant " + std::to_string(i % 6));
     if (nets[i].sink_count > 1) ++multi;
-    check_net(nets[i].tree, variant(i));
+    check_net(nets[i].tree, test::kernel_variant(i));
   }
   EXPECT_GT(multi, 50u);  // the workload genuinely exercises merges
 }
@@ -119,7 +86,7 @@ TEST(VgKernel, DifferentialBitIdenticalOnSingleSinkChains) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto net = test::long_two_pin(rng.uniform(3000.0, 20000.0),
                                         rng.uniform(60.0, 380.0));
-    check_net(net, variant(static_cast<std::size_t>(trial)));
+    check_net(net, test::kernel_variant(static_cast<std::size_t>(trial)));
   }
 }
 
@@ -184,9 +151,9 @@ TEST(VgKernel, UnprunedAblationRunsTheReferenceKernel) {
     rct::RoutingTree segmented = test::long_two_pin(
         rng.uniform(3000.0, 12000.0), rng.uniform(60.0, 380.0));
     seg::segment(segmented, {500.0});
-    core::VgOptions opt = variant(which);
+    core::VgOptions opt = test::kernel_variant(which);
     opt.prune_candidates = false;
-    opt.max_buffers = 8;
+    opt.max_buffers = std::min<std::size_t>(opt.max_buffers, 8);
     const auto fast = run_kernel(segmented, opt, core::VgKernel::Fast);
     const auto ref = run_kernel(segmented, opt, core::VgKernel::Reference);
     EXPECT_EQ(test::serialize(fast), test::serialize(ref));
