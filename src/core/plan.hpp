@@ -38,8 +38,8 @@ struct PlannedWire {
 
 // Handle to a PlanCell of one PlanArena: 0 is the empty solution, any other
 // value is cell index + 1. Candidates hold refs, never cell addresses, so a
-// plan packs into a 4-byte lane of the fast kernel's SoA candidate blocks
-// (core/soa.hpp) and the arena may move its cells when it grows.
+// plan is a 4-byte field of every VgCand (core/vg_kernel.hpp) and the arena
+// may move its cells when it grows.
 using PlanRef = std::uint32_t;
 inline constexpr PlanRef kNullPlan = 0;
 

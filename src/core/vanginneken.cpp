@@ -301,26 +301,6 @@ void verify_cand_list(const CandList& list, const VgOptions& opt,
   }
 }
 
-void verify_cand_list(const CandSpan& view, const VgOptions& opt,
-                      const PlanArena& arena) {
-  for (std::size_t i = 0; i < view.n; ++i) {
-    if (i > 0)
-      NBUF_ASSERT_MSG(!soa_cand_less(view, i, i - 1, arena),
-                      "candidate list lost the (load asc, slack desc) order");
-    if (opt.noise_constraints)
-      NBUF_ASSERT_CTX(view.noise_slack[i] >= 0.0,
-                      util::ctx("i", i, "noise_slack", view.noise_slack[i]));
-    if (i > 0) {
-      NBUF_ASSERT_CTX(view.load[i - 1] < view.load[i],
-                      util::ctx("i", i, "load[i-1]", view.load[i - 1],
-                                "load[i]", view.load[i]));
-      NBUF_ASSERT_CTX(view.slack[i - 1] < view.slack[i],
-                      util::ctx("i", i, "slack[i-1]", view.slack[i - 1],
-                                "slack[i]", view.slack[i]));
-    }
-  }
-}
-
 void expect_valid_inputs(const rct::RoutingTree& tree,
                          const lib::BufferLibrary& lib,
                          const VgOptions& options) {

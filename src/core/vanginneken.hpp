@@ -49,8 +49,9 @@ enum class VgKernel {
   // sort invariant across wire extension, merge, and buffer insertion, so
   // pruning is one linear scan (std::sort only runs when the invariant is
   // genuinely broken, i.e. the wire-sizing fork path); buffer insertion
-  // reads per-bucket views instead of deep-copying the lists;
-  // candidate-list buffers are pooled per run.
+  // reads the lists in place instead of deep-copying them; the candidate
+  // lists are the reference kernel's own, with their buffers pooled per
+  // run.
   Fast,
   // The original seed implementation: re-sorts every list on every prune
   // and snapshots all lists at each buffer-insertion node.

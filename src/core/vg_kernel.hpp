@@ -2,7 +2,9 @@
 // (core/vanginneken.cpp holds the one-shot reference oracle and the common
 // driver fold; core/vanginneken_fast.cpp holds the fast kernel, the one
 // engine of both cold core::optimize and memoized
-// core::IncrementalContext runs). Not part of the public API — include
+// core::IncrementalContext runs). Both kernels, the driver fold and the
+// subtree memo hold candidates in one form: VgCand lists, one per (phase,
+// buffer count) bucket. Not part of the public API — include
 // core/vanginneken.hpp instead.
 #pragma once
 
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "core/plan.hpp"
-#include "core/soa.hpp"
 #include "core/vanginneken.hpp"
 #include "lib/buffer.hpp"
 #include "rct/tree.hpp"
@@ -99,27 +100,6 @@ inline bool cand_less(const VgCand& a, const VgCand& b,
   return plan_compare(arena, a.plan, b.plan) < 0;
 }
 
-// cand_less over SoA lanes (fast kernel): the same total order, reading one
-// field lane at a time; plan ties resolve by content through the arena,
-// exactly as the AoS form. The two-span form compares element i of
-// span `a` with element j of span `b` (the in-place tail merge reads the
-// buffered tail and the prefix from different storage).
-inline bool soa_cand_less(const CandSpan& a, std::size_t i, const CandSpan& b,
-                          std::size_t j, const PlanArena& arena) {
-  if (a.load[i] != b.load[j]) return a.load[i] < b.load[j];
-  if (a.slack[i] != b.slack[j]) return a.slack[i] > b.slack[j];
-  if (a.noise_slack[i] != b.noise_slack[j])
-    return a.noise_slack[i] > b.noise_slack[j];
-  if (a.current[i] != b.current[j]) return a.current[i] < b.current[j];
-  if (a.dhat[i] != b.dhat[j]) return a.dhat[i] < b.dhat[j];
-  return plan_compare(arena, a.plan[i], b.plan[j]) < 0;
-}
-
-inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
-                          const PlanArena& arena) {
-  return soa_cand_less(s, i, s, j, arena);
-}
-
 // True when a would-be candidate (load, slack) is dominated by a pruned
 // staircase view: some view entry has load <= `load` and slack >= `slack`.
 // Such a candidate is removed as inferior by the very next prune no matter
@@ -161,12 +141,6 @@ inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
 void verify_cand_list(const CandList& list, const VgOptions& opt,
                       const PlanArena& arena);
 
-// The same verification over an SoA view (fast kernel, which always prunes
-// by dominance): sorted by soa_cand_less, strict Pareto staircase, no dead
-// candidate under noise constraints. The arena resolves plan ties.
-void verify_cand_list(const CandSpan& view, const VgOptions& opt,
-                      const PlanArena& arena);
-
 // True when the kernels should call verify_cand_list after each step:
 // requested explicitly, or the build carries full structural checks
 // (NBUF_CONTRACTS=2 — the default for Debug and sanitizer builds).
@@ -199,7 +173,7 @@ struct BestPredecessor {
 };
 
 [[nodiscard]] BestPredecessor select_best_predecessor(
-    const CandSpan& view, const lib::BufferType& b, bool noise_constraints,
+    const CandList& view, const lib::BufferType& b, bool noise_constraints,
     double max_slew);
 
 // A fresh buffer candidate before it enters its target list: load
@@ -231,24 +205,21 @@ struct FuseCounts {
 // replaces append, sort and prune. Only surviving records get a plan cell
 // in `arena`. When no record passes, `list` is left untouched; otherwise
 // the result is built in `scratch` and swapped in. `recs` is reordered.
-FuseCounts fuse_buffer_tail(SoAList& list, BufferRecord* recs, std::size_t t,
+FuseCounts fuse_buffer_tail(CandList& list, BufferRecord* recs, std::size_t t,
                             rct::NodeId v, bool noise_constraints,
-                            PlanArena& arena, SoAList& scratch);
+                            PlanArena& arena, CandList& scratch);
 
 // Per-node memo of the fast kernel, the engine of core::IncrementalContext:
 // nodes[v] holds the lists process(v) returned — the exact values a cold
 // run computes, and a pure function of subtree(v).
-// Each node is one packed block: bucket b (phase-major, then count) holds
-// its n = offsets[b+1] - offsets[b] candidates as five n-long value lanes
-// (load, slack, current, noise_slack, dhat) from values[5 * offsets[b]],
-// and plan refs from plans[offsets[b]] — 44 bytes per candidate, with
-// none of an SoAList's 64-byte lane padding. Plan refs index the caching
-// run's arena, which must outlive the memo.
+// Each node is one packed list: bucket b (phase-major, then count) holds
+// the n = offsets[b+1] - offsets[b] candidates from cands[offsets[b]] —
+// one VgCand, 48 bytes, per candidate. Plan refs index the caching run's
+// arena, which must outlive the memo.
 struct SubtreeMemo {
   struct Node {
     std::vector<std::uint32_t> offsets;  // 2 * (max_buffers + 1) + 1
-    std::vector<double> values;
-    std::vector<PlanRef> plans;
+    CandList cands;
     bool valid = false;
   };
   std::vector<Node> nodes;  // by node id

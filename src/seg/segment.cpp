@@ -1,6 +1,8 @@
 #include "seg/segment.hpp"
 
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -14,6 +16,24 @@ std::size_t segment(rct::RoutingTree& tree, const Options& options) {
   // Snapshot ids first: splits append nodes whose parent wires are already
   // short enough by construction.
   std::vector<rct::NodeId> ids = tree.preorder();
+  // Count the pieces before any split, in doubles: a ratio beyond SIZE_MAX
+  // (or a NaN length) must be refused, not cast.
+  double extra = 0.0;
+  for (rct::NodeId id : ids) {
+    const rct::Node& n = tree.node(id);
+    const double len = n.parent_wire.length;
+    if (n.kind != rct::NodeKind::Source && !(len <= options.max_segment_length))
+      extra += std::ceil(len / options.max_segment_length) - 1.0;
+  }
+  const double room = static_cast<double>(kMaxSegmentedNodes) -
+                      static_cast<double>(tree.node_count());
+  if (!(extra <= room)) {
+    std::ostringstream msg;
+    msg << "segmenting at " << options.max_segment_length << " um would add "
+        << extra << " nodes to a " << tree.node_count()
+        << "-node tree, over the bound of " << kMaxSegmentedNodes << " nodes";
+    throw std::invalid_argument(msg.str());
+  }
   std::size_t added = 0;
   for (rct::NodeId id : ids) {
     const rct::Node& n = tree.node(id);

@@ -18,9 +18,17 @@ struct Options {
   double max_segment_length = 500.0;  // µm
 };
 
+// The most nodes segment() grows a tree to. Far above every in-repo
+// workload (chain512's 512-site chains are the largest); it stops outside
+// input — a 1e12 µm wire, or a 1e-9 µm granularity — from allocating
+// without a bound.
+inline constexpr std::size_t kMaxSegmentedNodes = std::size_t{1} << 20;
+
 // Splits every over-long wire of `tree` into equal segments, creating
 // buffer-allowed internal nodes. Preserves total R, C, coupling current and
-// length exactly. Returns the number of nodes added.
+// length exactly. Returns the number of nodes added. Throws
+// std::invalid_argument, leaving `tree` unchanged, when the result would
+// exceed kMaxSegmentedNodes.
 std::size_t segment(rct::RoutingTree& tree, const Options& options);
 
 }  // namespace nbuf::seg

@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "batch/batch.hpp"
@@ -224,9 +225,13 @@ struct Session::Impl {
     if (net.name.empty())
       throw ProtocolError(ErrorCode::BadRequest,
                           "net file needs a 'name <net-name>' line");
-    NetEntry e;
     net.tree.binarize();
-    (void)seg::segment(net.tree, {segment_um});
+    try {
+      (void)seg::segment(net.tree, {segment_um});
+    } catch (const std::invalid_argument& err) {
+      throw ProtocolError(ErrorCode::BadRequest, err.what());
+    }
+    NetEntry e;
     e.base = std::move(net.tree);
     e.tech = net.tech;
     // A PERTURB before any OPTIMIZE builds its context with the same

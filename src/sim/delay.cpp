@@ -16,17 +16,21 @@ namespace {
 // March horizon: driver_rise + kSettleTaus * stage tau, long enough for
 // every node to cross 50%.
 constexpr double kSettleTaus = 12.0;
+constexpr double kVdd = 1.8;             // volt — swing of every driver
+constexpr double kSectionLength = 100.0; // µm — pi-section granularity
+// Victim's coupled cap fraction: none, so every wire cap is grounded
+// (quiet neighbors during the timing event).
+constexpr double kCouplingRatio = 0.0;
 
 // 50% crossing time at every sim node of one stage whose driver ramps
-// 0 -> vdd behind `driver_resistance`. Coupled capacitance is grounded
-// (quiet neighbors during the timing event).
+// 0 -> kVdd behind `driver_resistance`.
 std::vector<double> stage_crossings(const StageCircuit& c,
                                     double driver_resistance,
                                     const StepDelayOptions& opt) {
   NBUF_EXPECTS(driver_resistance > 0.0);
   const std::size_t n = c.size();
   const double h = opt.driver_rise / opt.steps_per_rise;
-  const SaturatedRamp ramp{opt.vdd, opt.driver_rise, 0.0};
+  const SaturatedRamp ramp{kVdd, opt.driver_rise, 0.0};
 
   double r_total = driver_resistance;
   double c_total = 0.0;
@@ -43,7 +47,7 @@ std::vector<double> stage_crossings(const StageCircuit& c,
   const std::span<const std::size_t> node_at = solver.node_at();
   const std::size_t root = n - 1;
 
-  const double half = opt.vdd / 2.0;
+  const double half = kVdd / 2.0;
   std::vector<double> v(n, 0.0), prev(n, 0.0), rhs(n), cap_h(n);
   for (std::size_t k = 0; k < n; ++k) cap_h[k] = c.total_cap(node_at[k]) / h;
   std::vector<double> crossing(n, -1.0);
@@ -82,8 +86,8 @@ StepDelayReport step_delays(const rct::RoutingTree& tree,
   StepDelayReport report;
   report.sinks.resize(tree.sink_count());
   for (const rct::Stage& st : stages) {
-    const StageCircuit c = build_stage_circuit(
-        tree, st, options.coupling_ratio, options.section_length);
+    const StageCircuit c =
+        build_stage_circuit(tree, st, kCouplingRatio, kSectionLength);
     const auto crossing =
         stage_crossings(c, st.driver_resistance, options);
     double in_arrival = 0.0;

@@ -19,12 +19,11 @@
 
 namespace nbuf::sim {
 
+// The swing, the pi-section length (100 µm) and the coupled fraction of
+// wire cap (none: neighbours are quiet during a timing event) are fixed in
+// delay.cpp; a 50% crossing of a linear stage does not depend on the swing.
 struct StepDelayOptions {
-  double vdd = 1.8;              // volt — swing of the switching source
-  double driver_rise = 20e-12;   // second — ramp at every driving gate
-  double coupling_ratio = 0.0;   // victim's coupled cap fraction (grounded
-                                 // aggressors during a timing event)
-  double section_length = 100.0; // µm
+  double driver_rise = 20e-12;  // second — ramp at every driving gate
   double steps_per_rise = 50.0;
 };
 

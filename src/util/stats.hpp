@@ -42,8 +42,9 @@ struct VgStats {
   std::size_t bp_prune_calls = 0;        // buckets scanned for insertion
   std::size_t bp_candidates_killed = 0;  // infeasible for every type
   std::size_t lib_types = 0;             // buffer-library size seen (max)
-  // SoA-layout counter (fast kernel): candidate lists live in
-  // structure-of-arrays lane blocks (core/soa.hpp).
+  // Fast-kernel prunes (a fused dead+Pareto scan or a buffer-tail fuse)
+  // that removed nothing. The name predates the kernel's VgCand lists and
+  // is kept so vgstats and --metrics output stay stable.
   std::size_t soa_prunes_no_move = 0;  // prunes that killed nothing and
                                        // skipped compaction entirely
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/random_library.hpp"
 #include "common/test_nets.hpp"
@@ -20,7 +19,7 @@
 #include "lib/wire.hpp"
 #include "noise/pulse.hpp"
 #include "core/vanginneken.hpp"
-#include "core/soa_sweeps.hpp"
+#include "core/cand_sweeps.hpp"
 #include "core/vg_kernel.hpp"
 #include "netgen/netgen.hpp"
 #include "seg/segment.hpp"
@@ -396,23 +395,22 @@ TEST(LibraryProperties, InvertedSinkNeedsAnInverter) {
 // The reference kernel's selection loop (vanginneken.cpp insert_buffers):
 // verbatim predicates, q expression and strict `>`, plus a count of the
 // entries a predicate rejects.
-core::detail::BestPredecessor reference_select(const core::CandSpan& view,
-                                               const lib::BufferType& b,
-                                               bool noise, double max_slew) {
+core::detail::BestPredecessor reference_select(
+    const core::detail::CandList& view, const lib::BufferType& b, bool noise,
+    double max_slew) {
   core::detail::BestPredecessor best;
   double best_q = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < view.n; ++i) {
-    if (noise && b.resistance * view.current[i] > view.noise_slack[i]) {
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const core::detail::VgCand& c = view[i];
+    if (noise && b.resistance * c.current > c.noise_slack) {
       ++best.infeasible;
       continue;
     }
-    if (elmore::kSlewFactor * (b.resistance * view.load[i] + view.dhat[i]) >
-        max_slew) {
+    if (elmore::kSlewFactor * (b.resistance * c.load + c.dhat) > max_slew) {
       ++best.infeasible;
       continue;
     }
-    const double q =
-        view.slack[i] - b.intrinsic_delay - b.resistance * view.load[i];
+    const double q = c.slack - b.intrinsic_delay - b.resistance * c.load;
     if (q > best_q) {
       best_q = q;
       best.idx = i;
@@ -451,10 +449,10 @@ TEST(LibraryProperties, SelectBestPredecessorMatchesReferenceScan) {
       max_slew = exact ? static_cast<double>(rng.uniform_int(5, 200))
                        : rng.uniform(80.0, 400.0) * ps;
 
-    // A strict Pareto staircase in SoA lanes. In exact trials a slack step
-    // of R * (load step) keeps q equal to the previous entry's for every
-    // type of resistance R.
-    core::SoAList cands;
+    // A strict Pareto staircase. In exact trials a slack step of
+    // R * (load step) keeps q equal to the previous entry's for every type
+    // of resistance R.
+    core::detail::CandList view;
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 40));
     double load = exact ? 1.0 : rng.uniform(1.0, 30.0) * fF;
     double slack = exact ? -50.0 : rng.uniform(-800.0, 0.0) * ps;
@@ -475,14 +473,13 @@ TEST(LibraryProperties, SelectBestPredecessorMatchesReferenceScan) {
       // q = -inf / NaN entries: they never win, but still pass or fail
       // the predicates like any other entry.
       if (rng.chance(0.05)) s = rng.chance(0.5) ? -inf : std::nan("");
-      cands.push_back(load, s, current, ns, dhat, core::kNullPlan);
+      view.push_back({load, s, current, ns, dhat, core::kNullPlan});
       const double dl = exact ? static_cast<double>(rng.uniform_int(1, 3))
                               : rng.uniform(0.5, 40.0) * fF;
       load += dl;
       slack += exact ? tie_r * dl + (rng.chance(0.6) ? 0.0 : 1.0)
                      : rng.uniform(1.0, 120.0) * ps;
     }
-    const core::CandSpan view = cands.span();
     for (lib::BufferId id : library.ids()) {
       const lib::BufferType& b = library.at(id);
       const auto want = reference_select(view, b, noise, max_slew);
@@ -520,8 +517,7 @@ TEST(LibraryProperties, FuseBufferTailMatchesAppendSortPrune) {
 
     // The target: a pruned staircase (strictly ascending loads and
     // slacks, no dead entry) on a small integer grid.
-    core::SoAList view;
-    core::detail::CandList aos;
+    core::detail::CandList view;
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 12));
     double load = static_cast<double>(rng.uniform_int(1, 4));
     double slack = static_cast<double>(rng.uniform_int(-20, 0));
@@ -530,9 +526,7 @@ TEST(LibraryProperties, FuseBufferTailMatchesAppendSortPrune) {
           load, slack, static_cast<double>(rng.uniform_int(0, 5)),
           static_cast<double>(rng.uniform_int(0, 9)),
           static_cast<double>(rng.uniform_int(0, 9)), any_ref()};
-      view.push_back(c.load, c.slack, c.current, c.noise_slack, c.dhat,
-                     c.plan);
-      aos.push_back(c);
+      view.push_back(c);
       load += static_cast<double>(rng.uniform_int(1, 4));
       slack += static_cast<double>(rng.uniform_int(1, 4));
     }
@@ -546,9 +540,9 @@ TEST(LibraryProperties, FuseBufferTailMatchesAppendSortPrune) {
       r.type = lib::BufferId{static_cast<std::uint32_t>(t)};
       r.pred = any_ref();
       const double pick = rng.uniform(0.0, 1.0);
-      if (!aos.empty() && pick < 0.3) {  // on or next to a view entry
-        const auto& e = aos[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(aos.size()) - 1))];
+      if (!view.empty() && pick < 0.3) {  // on or next to a view entry
+        const auto& e = view[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(view.size()) - 1))];
         r.input_cap = e.load;
         r.q = e.slack + static_cast<double>(rng.uniform_int(-1, 1));
       } else if (!recs.empty() && pick < 0.6) {  // bit-equal to a record
@@ -572,38 +566,28 @@ TEST(LibraryProperties, FuseBufferTailMatchesAppendSortPrune) {
 
     // Oracle: the definition, in its own copy of the arena.
     core::PlanArena oracle_arena = arena;
-    core::SoAList oracle;
-    for (std::size_t i = 0; i < n; ++i)
-      oracle.push_back(aos[i].load, aos[i].slack, aos[i].current,
-                       aos[i].noise_slack, aos[i].dhat, aos[i].plan);
+    core::detail::CandList sorted = view;
     std::size_t born_dominated = 0;
     for (const auto& r : recs) {
-      if (core::detail::dominated_by_staircase(aos.data(), aos.size(),
+      if (core::detail::dominated_by_staircase(view.data(), view.size(),
                                                r.input_cap, r.q)) {
         ++born_dominated;
         continue;
       }
-      oracle.push_back(r.input_cap, r.q, 0.0, r.noise_margin, 0.0,
-                       oracle_arena.buffer(r.pred, {v, 0.0, r.type}));
+      sorted.push_back({r.input_cap, r.q, 0.0, r.noise_margin, 0.0,
+                        oracle_arena.buffer(r.pred, {v, 0.0, r.type})});
     }
-    const std::size_t passed = oracle.size() - n;
-    std::vector<std::uint32_t> perm(oracle.size());
-    std::iota(perm.begin(), perm.end(), 0u);
-    const core::CandSpan os = oracle.span();
-    std::sort(perm.begin(), perm.end(),  // nbuf-lint: allow(sort)
-              [&](std::uint32_t x, std::uint32_t y) {
-                return core::detail::soa_cand_less(os, x, y, oracle_arena);
+    const std::size_t passed = sorted.size() - n;
+    std::sort(sorted.begin(), sorted.end(),  // nbuf-lint: allow(sort)
+              [&](const core::detail::VgCand& x,
+                  const core::detail::VgCand& y) {
+                return core::detail::cand_less(x, y, oracle_arena);
               });
-    core::SoAList sorted;
-    core::detail::soa::gather(oracle, perm.data(), perm.size(), sorted);
-    core::detail::soa::PruneResult pr;
-    if (passed > 0) pr = core::detail::soa::prune_sweep(sorted, noise);
+    core::detail::sweeps::PruneResult pr;
+    if (passed > 0) pr = core::detail::sweeps::prune_sweep(sorted, noise);
 
-    core::SoAList list;
-    for (std::size_t i = 0; i < n; ++i)
-      list.push_back(aos[i].load, aos[i].slack, aos[i].current,
-                     aos[i].noise_slack, aos[i].dhat, aos[i].plan);
-    core::SoAList scratch;
+    core::detail::CandList list = view;
+    core::detail::CandList scratch;
     const std::size_t cells_before = arena.cell_count();
     const core::detail::FuseCounts got = core::detail::fuse_buffer_tail(
         list, recs.data(), recs.size(), v, noise, arena, scratch);
@@ -616,13 +600,13 @@ TEST(LibraryProperties, FuseBufferTailMatchesAppendSortPrune) {
     std::size_t fresh = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
       SCOPED_TRACE("entry " + std::to_string(i));
-      EXPECT_EQ(list.load()[i], sorted.load()[i]);
-      EXPECT_EQ(list.slack()[i], sorted.slack()[i]);
-      EXPECT_EQ(list.current()[i], sorted.current()[i]);
-      EXPECT_EQ(list.noise_slack()[i], sorted.noise_slack()[i]);
-      EXPECT_EQ(list.dhat()[i], sorted.dhat()[i]);
-      const core::PlanRef a = list.plan()[i];
-      const core::PlanRef b = sorted.plan()[i];
+      EXPECT_EQ(list[i].load, sorted[i].load);
+      EXPECT_EQ(list[i].slack, sorted[i].slack);
+      EXPECT_EQ(list[i].current, sorted[i].current);
+      EXPECT_EQ(list[i].noise_slack, sorted[i].noise_slack);
+      EXPECT_EQ(list[i].dhat, sorted[i].dhat);
+      const core::PlanRef a = list[i].plan;
+      const core::PlanRef b = sorted[i].plan;
       if (a <= cells_before) {  // carried over from the view
         EXPECT_EQ(a, b);
         continue;

@@ -99,6 +99,31 @@ TEST(Segment, RejectsBadOptions) {
   EXPECT_THROW(seg::segment(t, {0.0}), std::invalid_argument);
 }
 
+TEST(Segment, RefusesUnboundedGrowthAndLeavesTheTreeUnchanged) {
+  // Outside input sets both the wire length (.net files) and the
+  // granularity (--segment, LOAD_NET): a 1e12 um wire at the default
+  // 500 um, or any wire at 1e-9 um, would need billions of nodes. segment()
+  // counts the pieces first and throws before it splits anything.
+  struct Case {
+    double length;
+    double granularity;
+  };
+  const double room =
+      static_cast<double>(seg::kMaxSegmentedNodes) - 2.0;  // two-pin tree
+  for (const Case c : {Case{1e12, 500.0}, Case{2600.0, 1e-9},
+                       Case{room + 2.0, 1.0}}) {  // one node over the bound
+    SCOPED_TRACE("length " + std::to_string(c.length) + " granularity " +
+                 std::to_string(c.granularity));
+    auto t = test::long_two_pin(c.length);
+    const double cap0 = t.total_cap();
+    EXPECT_THROW(seg::segment(t, {c.granularity}), std::invalid_argument);
+    EXPECT_EQ(t.node_count(), 2u);
+    EXPECT_EQ(t.total_wirelength(), c.length);
+    EXPECT_EQ(t.total_cap(), cap0);
+    t.validate();
+  }
+}
+
 TEST(Segment, GranularityTradeoff) {
   // Finer segmentation adds more candidate sites (quality/runtime knob of
   // Alpert-Devgan).

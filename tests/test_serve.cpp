@@ -233,6 +233,31 @@ TEST(ServeSession, RequestFaultsAreTypedAndCounted) {
 
 // Index and count fields take digits only: a wrapped "-1" would make
 // max_buffers SIZE_MAX, and max_buffers + 1 zero DP buckets.
+TEST(ServeSession, UnboundedSegmentingIsABadRequest) {
+  // Both inputs of segmenting come from the client: LOAD_NET's segment
+  // line and the wire lengths of the net text. A net that would segment
+  // past seg::kMaxSegmentedNodes is refused before any node is made, and
+  // the session keeps serving.
+  serve::Session session;
+  for (const std::string& payload :
+       {"segment 1e-9\n" + net_payload(31, "alpha"),
+        std::string("name huge\ntech 0.073 0.21 1.8 250 0.7\n"
+                    "driver drv 150 30\nnode a source 1e12\n"
+                    "sink s a 100 15 1400 0.8\n")}) {
+    const Frame r = session.handle(req(Opcode::LoadNet, payload));
+    EXPECT_EQ(r.op, Opcode::Error);
+    EXPECT_EQ(r.payload.rfind("error bad_request:", 0), 0u) << r.payload;
+    EXPECT_NE(r.payload.find("over the bound"), std::string::npos)
+        << r.payload;
+  }
+  ASSERT_TRUE(
+      is_ok(session.handle(req(Opcode::LoadNet, net_payload(31, "alpha")))));
+  EXPECT_TRUE(is_ok(session.handle(req(Opcode::Optimize, "net alpha\n"))));
+  const Frame st = session.handle(req(Opcode::Stats, ""));
+  EXPECT_EQ(field_of(st.payload, "errors"), "2");
+  EXPECT_EQ(field_of(st.payload, "nets"), "1");
+}
+
 TEST(ServeSession, SignedIndicesAreTypedBadRequests) {
   serve::Session session;
   ASSERT_TRUE(is_ok(session.handle(
@@ -446,6 +471,94 @@ TEST(ServeSession, PerturbBeforeOptimizeUsesDefaultOptions) {
 
 // Coalesced batches must be indistinguishable from serial handling: same
 // response bytes in request order, at any worker-thread count.
+// FNV-1a (64-bit) of `bytes`, continued from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ServeSession, SeededTranscriptDigestIsPinned) {
+  // Every response byte of a seeded one-thread transcript — LOAD_NET and
+  // OPTIMIZE on six nets, 320 PERTURBs cycling through all five edit kinds,
+  // SIGNOFFs and a closing STATS — folds into one FNV-1a digest, pinned to
+  // the value the transcript produced when it was recorded. Any change to
+  // an answer, a DP-effort line ("reused" / "recomputed", i.e. the subtree
+  // memo) or a counter moves the digest. Edits come from arithmetic on the
+  // case index, so the transcript does not depend on a random engine.
+  serve::Session s(serve::SessionOptions{1, 500.0});
+  std::uint64_t digest = 14695981039346656037ull;
+  std::uint64_t id = 0;
+  std::size_t ok = 0;
+  const auto send = [&](Opcode op, const std::string& payload) {
+    const Frame r = s.handle(req(op, payload, ++id));
+    digest = fnv1a(digest, serve::encode_frame(r));
+    ok += is_ok(r) ? 1 : 0;
+    return r;
+  };
+  constexpr std::size_t kNets = 6;
+  std::vector<std::string> names;
+  std::vector<std::size_t> nodes, sinks;
+  for (std::size_t i = 0; i < kNets; ++i) {
+    names.push_back("t" + std::to_string(i));
+    const std::string payload =
+        i % 2 == 0 ? "segment 200\n" + balanced_payload(i, names.back())
+                   : net_payload(40 + i, names.back());
+    const Frame loaded = send(Opcode::LoadNet, payload);
+    ASSERT_TRUE(is_ok(loaded)) << loaded.payload;
+    std::size_t n = 0, m = 0;
+    ASSERT_EQ(std::sscanf(loaded.payload.c_str() + loaded.payload.find("nodes "),
+                          "nodes %zu sinks %zu", &n, &m),
+              2);
+    nodes.push_back(n);
+    sinks.push_back(m);
+    send(Opcode::Optimize, "net " + names.back() +
+                               (i % 3 == 2 ? "\nnoise 0\nmax_buffers 10\n"
+                                           : "\nmax_buffers 8\n"));
+  }
+  constexpr std::size_t kPerturbs = 320;
+  for (std::size_t c = 0; c < kPerturbs; ++c) {
+    const std::size_t net = (c * 5 + c / kNets) % kNets;
+    const std::size_t node = 1 + (c * 37) % (nodes[net] - 1);
+    const double x = static_cast<double>(c % 17);
+    char buf[128];
+    switch (c % 5) {
+      case 0:
+        std::snprintf(buf, sizeof(buf), "scale_wire %zu %.2f %.2f %.2f", node,
+                      0.8 + 0.025 * x, 0.85 + 0.02 * x, 0.9 + 0.015 * x);
+        break;
+      case 1:
+        std::snprintf(buf, sizeof(buf), "set_sink %zu %.1f %.1f %.2f",
+                      c % sinks[net], 6.0 + x, 1500.0 + 40.0 * x,
+                      0.65 + 0.01 * x);
+        break;
+      case 2:
+        std::snprintf(buf, sizeof(buf), "split_wire %zu %.1f", node,
+                      5.0 + 11.0 * x);
+        break;
+      case 3:
+        std::snprintf(buf, sizeof(buf), "tighten_margins %.3f",
+                      (c / 5) % 2 == 0 ? 0.012 : -0.01);
+        break;
+      default:
+        std::snprintf(buf, sizeof(buf), "scale_coupling %.2f",
+                      (c / 5) % 2 == 0 ? 1.04 : 0.97);
+        break;
+    }
+    const Frame r =
+        send(Opcode::Perturb, "net " + names[net] + "\n" + buf + "\n");
+    if (c % 5 == 2 && is_ok(r)) ++nodes[net];  // the split added a node
+    if (c % 40 == 39) send(Opcode::Signoff, "net " + names[net] + "\n");
+  }
+  const Frame st = send(Opcode::Stats, "");
+  EXPECT_EQ(field_of(st.payload, "perturbs"),
+            std::to_string(ok - 2 * kNets - kPerturbs / 40 - 1));
+  EXPECT_GE(ok, 2 * kNets + kPerturbs * 3 / 4);  // mostly accepted edits
+  EXPECT_EQ(digest, 0x825923c5ae5a2089ull) << std::hex << "digest 0x" << digest;
+}
+
 TEST(ServeSession, BatchCoalescingMatchesSerialAtAnyThreadCount) {
   const std::vector<std::string> names = {"b0", "b1", "b2", "b3"};
   auto script = [&]() {

@@ -108,6 +108,22 @@ TEST(Cli, UsageAndInputErrorsExitTwo) {
   EXPECT_EQ(run_cli({"/nonexistent/definitely_missing.net"}).exit_code, 2);
 }
 
+TEST(Cli, UnboundedSegmentingExitsTwo) {
+  // A granularity that would grow a net past seg::kMaxSegmentedNodes is an
+  // input error in every mode that segments, not an abort or an OOM.
+  EXPECT_EQ(run_cli({example("long_two_pin.net"), "--segment", "1e-9"})
+                .exit_code,
+            2);
+  EXPECT_EQ(run_cli({"batch", "--netgen", "2", "--seed", "3", "--segment",
+                     "1e-9"})
+                .exit_code,
+            2);
+  EXPECT_EQ(run_cli({"signoff", "--netgen", "2", "--seed", "3", "--segment",
+                     "1e-9"})
+                .exit_code,
+            2);
+}
+
 TEST(Cli, MalformedNumericOptionsExitTwo) {
   // std::stoul would wrap "-5" to a huge count and std::stod would throw
   // out of main on "abc"; both must instead be usage errors (exit 2).

@@ -84,6 +84,7 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "batch/batch.hpp"
@@ -355,6 +356,21 @@ int load_workload(const char* what, const BatchArgs& args,
   return kExitClean;
 }
 
+// Runs the batch engine over `nets`. Input no run can take — a wire too
+// long to segment within seg::kMaxSegmentedNodes — is a usage error (exit
+// 2), like an unreadable input.
+bool run_engine(const batch::BatchEngine& engine,
+                const std::vector<batch::BatchNet>& nets,
+                const lib::BufferLibrary& library, batch::BatchResult& out) {
+  try {
+    out = engine.run(nets, library);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+  return true;
+}
+
 batch::BatchOptions engine_options(const BatchArgs& args) {
   batch::BatchOptions opt;
   opt.threads = args.threads;
@@ -441,7 +457,8 @@ int batch_main(int argc, char** argv) {
   // spawns, stopped after it joins (src/obs/trace.hpp threading contract).
   std::optional<obs::TraceRecording> rec;
   if (!args.trace.empty()) rec.emplace(trace_level_of(args));
-  const batch::BatchResult res = engine.run(nets, library);
+  batch::BatchResult res;
+  if (!run_engine(engine, nets, library, res)) return kExitUsage;
   obs::TraceData trace;
   if (rec) {
     trace = rec->stop();
@@ -523,7 +540,8 @@ int signoff_main(int argc, char** argv) {
   // verify side by side; started/stopped outside both worker pools.
   std::optional<obs::TraceRecording> rec;
   if (!args.trace.empty()) rec.emplace(trace_level_of(args));
-  const batch::BatchResult res = engine.run(nets, library);
+  batch::BatchResult res;
+  if (!run_engine(engine, nets, library, res)) return kExitUsage;
   std::printf("%-22s %.1f nets/sec (wall %.3f s)\n",
               "optimize:", res.summary.nets_per_second(),
               res.summary.wall_seconds);
@@ -668,10 +686,15 @@ int cli_main(int argc, char** argv) {
     opt.segmenting.max_segment_length = args.segment;
     opt.vg.max_buffers = args.max_buffers;
     if (args.wire_sizing) opt.vg.wire_widths = lib::default_wire_widths();
-    const core::ToolResult res =
-        args.mode == "buffopt"
-            ? core::run_buffopt(net.tree, library, opt)
-            : core::run_delayopt(net.tree, library, args.max_buffers, opt);
+    core::ToolResult res;
+    try {
+      res = args.mode == "buffopt"
+                ? core::run_buffopt(net.tree, library, opt)
+                : core::run_delayopt(net.tree, library, args.max_buffers, opt);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", args.input.c_str(), e.what());
+      return kExitUsage;
+    }
     std::printf("%s: inserted %zu buffer(s)%s in %.1f ms\n",
                 args.mode.c_str(), res.vg.buffer_count,
                 res.vg.wire_widths.empty()
