@@ -2,7 +2,7 @@
 //
 // The Van Ginneken insertion step scans every bucket once per type for
 // its best predecessor. The fast kernel (src/core/vg_kernel.hpp,
-// select_best_predecessor + fuse_buffer_tail) keeps one record per
+// select_best_predecessors + fuse_buffer_tail) keeps one record per
 // (bucket, type) and folds a bucket's records into its list in one merge
 // pass, so the per-type overhead should stay roughly flat in b. This
 // bench measures that

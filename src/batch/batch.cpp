@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
 
 #include "io/netfile.hpp"
@@ -154,7 +155,8 @@ std::vector<BatchNet> from_generated(std::vector<netgen::GeneratedNet> nets) {
 }
 
 std::vector<BatchNet> load_directory(const std::string& dir,
-                                     const lib::BufferLibrary& lib) {
+                                     const lib::BufferLibrary& lib,
+                                     std::size_t threads) {
   namespace fs = std::filesystem;
   NBUF_EXPECTS_MSG(fs::is_directory(dir), "batch input is not a directory");
   std::vector<fs::path> files;
@@ -162,14 +164,19 @@ std::vector<BatchNet> load_directory(const std::string& dir,
     if (e.is_regular_file() && e.path().extension() == ".net")
       files.push_back(e.path());
   std::sort(files.begin(), files.end());  // nbuf-lint: allow(sort)
-  std::vector<BatchNet> out;
-  out.reserve(files.size());
-  for (const fs::path& p : files) {
-    io::NetFile f = io::read_net_file(p.string(), lib);
-    out.push_back(BatchNet{f.name.empty() ? p.filename().string()
-                                          : std::move(f.name),
-                           std::move(f.tree)});
-  }
+  std::vector<BatchNet> out(files.size());
+  parallel_for_index(files.size(), threads, [&](std::size_t i) {
+    const fs::path& p = files[i];
+    io::NetFile f;
+    try {
+      f = io::read_net_file(p.string(), lib);
+    } catch (const std::exception& e) {
+      throw std::runtime_error(p.string() + ": " + e.what());
+    }
+    out[i] = BatchNet{f.name.empty() ? p.filename().string()
+                                     : std::move(f.name),
+                      std::move(f.tree)};
+  });
   return out;
 }
 

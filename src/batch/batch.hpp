@@ -111,8 +111,14 @@ void record_metrics(obs::MetricsRegistry& reg, const BatchSummary& summary);
 // Adapters for the two workload sources the CLI accepts.
 [[nodiscard]] std::vector<BatchNet> from_generated(
     std::vector<netgen::GeneratedNet> nets);
-// Loads every "*.net" file of `dir` in lexicographic filename order.
+// Loads every "*.net" file of `dir` in lexicographic filename order,
+// parsing on up to `threads` workers (0 = hardware concurrency): file i of
+// the sorted list parses into slot i, so the result does not depend on the
+// thread count. A file that fails to load throws its error prefixed with
+// the file's path; when several fail, the error is the lowest sorted
+// file's, as in a serial load.
 [[nodiscard]] std::vector<BatchNet> load_directory(
-    const std::string& dir, const lib::BufferLibrary& lib);
+    const std::string& dir, const lib::BufferLibrary& lib,
+    std::size_t threads = 0);
 
 }  // namespace nbuf::batch

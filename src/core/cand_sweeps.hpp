@@ -18,17 +18,25 @@
 namespace nbuf::core::detail::sweeps {
 
 // One unsized wire extension over a whole list: the reference kernel's
-// exact per-candidate expressions (vanginneken.cpp extend_wire).
-inline void apply_wire(CandList& l, const double res, const double cap,
-                       const double coupling) {
-  for (VgCand& c : l) {
+// exact per-candidate expressions (vanginneken.cpp extend_wire). Returns
+// whether the updated list is sorted by cand_less, checked in the same pass
+// (the is_sorted predicate: no entry less than its updated predecessor).
+// The affine map keeps (load asc, slack desc) except where two loads round
+// together, so this is almost always true.
+inline bool apply_wire(CandList& l, const double res, const double cap,
+                       const double coupling, const PlanArena& arena) {
+  bool sorted = true;
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    VgCand& c = l[i];
     const double wire_delay = res * (cap / 2.0 + c.load);
     c.slack -= wire_delay;
     c.dhat += wire_delay;
     c.load += cap;
     c.noise_slack -= res * (coupling / 2.0 + c.current);
     c.current += coupling;
+    if (i > 0 && sorted) sorted = !cand_less(c, l[i - 1], arena);
   }
+  return sorted;
 }
 
 struct PruneResult {

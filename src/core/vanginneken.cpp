@@ -324,7 +324,7 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
     if (list.empty()) continue;
     CountBest best;
     best.count = k;
-    bool found = false;
+    const VgCand* chosen = nullptr;
     for (const VgCand& c : list) {
       const double q =
           c.slack - drv.intrinsic_delay - drv.resistance * c.load;
@@ -335,16 +335,18 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
       if (elmore::kSlewFactor * (drv.resistance * c.load + c.dhat) >
           opt.max_slew)
         continue;  // driver's stage violates the slew limit
-      if (!found || q > best.slack) {
+      if (chosen == nullptr || q > best.slack) {
         best.slack = q;
         best.noise_slack = c.noise_slack - driver_noise;
         best.noise_ok = noise_ok;
-        best.plan = collect(arena, c.plan);
-        best.wires = collect_wires(arena, c.plan);
-        found = true;
+        chosen = &c;
       }
     }
-    if (found) result.per_count.push_back(std::move(best));
+    if (chosen == nullptr) continue;
+    // Collecting walks the plan DAG, so only the winner's is collected.
+    best.plan = collect(arena, chosen->plan);
+    best.wires = collect_wires(arena, chosen->plan);
+    result.per_count.push_back(std::move(best));
   }
 
   result.stats = stats;

@@ -19,13 +19,15 @@
 //
 //  2. Select, collect, fuse. Buffer insertion must read only
 //     pre-insertion candidates (one buffer per node); the reference kernel
-//     deep-copies all lists. Here every (bucket, type) best predecessor is
-//     selected first and only recorded — a 32-byte BufferRecord in its
-//     target bucket's tail, with no plan cell and no list append — so the
-//     lists themselves are the snapshot. Then one forward pass per touched
-//     bucket (fuse_buffer_tail) merges the sorted tail into the staircase,
-//     drops records dominated at birth, prunes, and allocates plan cells
-//     for the surviving records only.
+//     deep-copies all lists. Here buckets run from the highest count down:
+//     one select_best_predecessors call per nonempty (phase, count) view
+//     answers every type of the library, and each answer is
+//     only recorded — a 32-byte BufferRecord, with no plan cell and no list
+//     append. Bucket k's records land in bucket k + 1, whose own view was
+//     read one step earlier, so the lists themselves are the snapshot. One
+//     forward pass per target (fuse_buffer_tail) merges the sorted records
+//     into the staircase, drops records dominated at birth, prunes, and
+//     allocates plan cells for the surviving records only.
 //
 //  3. One candidate form. The lists are the reference kernel's own
 //     VgCand lists (NodeLists), so the driver fold (finalize) reads the
@@ -101,13 +103,14 @@ class FastVgRun {
         sizing_(!opt.wire_widths.empty()),
         arena_(arena),
         memo_(memo) {
-    for (auto& tails : tails_) tails.resize(opt_.max_buffers + 1);
+    for (auto& best : best_) best.resize(lib_.size());
     // Resistance is the only type parameter the feasibility predicates
     // read, and both are monotone in it: a view entry infeasible for the
     // lowest-R type is infeasible for every type.
-    for (lib::BufferId id : lib_.ids())
-      if (lib_.at(id).resistance < lib_.at(min_r_type_).resistance)
-        min_r_type_ = id;
+    const auto& types = lib_.types();
+    for (std::size_t t = 0; t < types.size(); ++t)
+      if (types[t].resistance < types[min_r_type_].resistance)
+        min_r_type_ = t;
     stats_.lib_types = lib_.size();
   }
 
@@ -145,9 +148,11 @@ class FastVgRun {
   ListPool pool_;
   CandList scratch_;                      // merge target, swapped back
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
-  // insert_buffers' fresh candidates, [phase][count] of their target.
-  std::array<std::vector<std::vector<BufferRecord>>, 2> tails_;
-  lib::BufferId min_r_type_{0};
+  std::vector<BufferRecord> tail_;  // insert_buffers' records of one target
+  // Selection answers per type (lib_.ids() order) for both phases of the
+  // current bucket.
+  std::array<std::vector<BestPredecessor>, 2> best_;
+  std::size_t min_r_type_ = 0;
   util::VgStats stats_;
 };
 
@@ -205,15 +210,14 @@ void FastVgRun::extend_wire(NodeLists& lists, rct::NodeId child) {
   NBUF_TRACE_DETAIL_TAGGED("vg.wire", lists.total_size());
   if (!sizing_) {
     // The reference kernel's per-candidate expressions as one sweep, then
-    // the prune. The affine map preserves load order, so sortedness is
-    // re-checked over the updated list; a violation (only possible through
+    // the prune. The affine map preserves load order, so the sweep re-checks
+    // sortedness as it goes; a violation (only possible through
     // floating-point rounding collisions) falls back to the sorting prune.
     for (auto& phase_lists : lists.by_phase) {
       for (CandList& list : phase_lists) {
         if (list.empty()) continue;
-        sweeps::apply_wire(list, w.resistance, w.capacitance,
-                           w.coupling_current);
-        prune(list, is_sorted(list));
+        prune(list, sweeps::apply_wire(list, w.resistance, w.capacitance,
+                                       w.coupling_current, arena_));
       }
     }
     return;
@@ -250,43 +254,46 @@ void FastVgRun::extend_wire(NodeLists& lists, rct::NodeId child) {
 }
 
 // Fig. 11 Step 5. Every type reads only unbuffered-at-v candidates (one
-// buffer per node), and nothing is appended until every selection is made,
-// so the lists themselves are the reference kernel's pre-insertion
-// snapshot. Bucket-major: each (phase, count) view is scanned once per type
-// while it is hot.
+// buffer per node). A candidate of count k buffered here lands in bucket
+// k + 1, so buckets run in descending k: when bucket k's records fold into
+// bucket k + 1, that bucket's own pre-insertion view has already been read,
+// and the lists themselves are the reference kernel's snapshot. Both
+// phases of bucket k are selected for all types first; then each phase of
+// bucket k + 1 folds in its records (buffers of the same phase, inverters
+// of the other) in one fuse.
 void FastVgRun::insert_buffers(NodeLists& lists, rct::NodeId v) {
   NBUF_TRACE_DETAIL_TAGGED("vg.buffer", lists.total_size());
-  const std::size_t bucket_count = opt_.max_buffers + 1;
-  for (int in_phase = 0; in_phase < 2; ++in_phase) {
-    const auto& buckets = lists.by_phase[in_phase];
-    // A candidate of count k buffered here lands in bucket k + 1, so the
-    // last bucket feeds nothing.
-    for (std::size_t k = 0; k + 1 < bucket_count; ++k) {
-      const CandList& view = buckets[k];
-      if (view.empty()) continue;
+  for (std::size_t k = opt_.max_buffers; k-- > 0;) {
+    const std::array<bool, 2> has_view = {!lists.by_phase[0][k].empty(),
+                                          !lists.by_phase[1][k].empty()};
+    if (!has_view[0] && !has_view[1]) continue;
+    for (int phase = 0; phase < 2; ++phase) {
+      if (!has_view[phase]) continue;
       ++stats_.bp_prune_calls;
-      for (lib::BufferId id : lib_.ids()) {
-        const lib::BufferType& b = lib_.at(id);
-        const BestPredecessor best = select_best_predecessor(
-            view, b, opt_.noise_constraints, opt_.max_slew);
-        if (id == min_r_type_) stats_.bp_candidates_killed += best.infeasible;
+      select_best_predecessors(lists.by_phase[phase][k], lib_.types(),
+                               opt_.noise_constraints, opt_.max_slew,
+                               best_[phase]);
+      stats_.bp_candidates_killed += best_[phase][min_r_type_].infeasible;
+    }
+    for (int phase = 0; phase < 2; ++phase) {
+      tail_.clear();
+      for (std::size_t t = 0; t < lib_.size(); ++t) {
+        const lib::BufferType& b = lib_.types()[t];
+        const int in_phase = b.inverting ? 1 - phase : phase;
+        if (!has_view[in_phase]) continue;
+        const CandList& view = lists.by_phase[in_phase][k];
+        const BestPredecessor& best = best_[in_phase][t];
         if (best.idx == BestPredecessor::kNone) continue;
         note_created(1);
-        const int out_phase = b.inverting ? 1 - in_phase : in_phase;
-        tails_[out_phase][k + 1].push_back(BufferRecord{
-            b.input_cap, best.q, b.noise_margin, view[best.idx].plan, id});
+        tail_.push_back(BufferRecord{
+            b.input_cap, best.q, b.noise_margin, view[best.idx].plan,
+            lib::BufferId{static_cast<lib::BufferId::underlying_type>(t)}});
       }
-    }
-  }
-  for (int phase = 0; phase < 2; ++phase) {
-    for (std::size_t k = 0; k < bucket_count; ++k) {
-      std::vector<BufferRecord>& tail = tails_[phase][k];
-      if (tail.empty()) continue;
-      CandList& list = lists.by_phase[phase][k];
+      if (tail_.empty()) continue;
+      CandList& list = lists.by_phase[phase][k + 1];
       const FuseCounts c =
-          fuse_buffer_tail(list, tail.data(), tail.size(), v,
+          fuse_buffer_tail(list, tail_.data(), tail_.size(), v,
                            opt_.noise_constraints, arena_, scratch_);
-      tail.clear();
       stats_.pruned_inferior += c.born_dominated;
       if (c.passed == 0) continue;  // untouched: still Pareto-sorted
       // The pass ends in the prune of a bucket that gained candidates.
@@ -433,12 +440,10 @@ VgResult FastVgRun::run() {
 // constraints the noise test is off, and with max_slew = +inf (or NaN) the
 // slew comparison is false for every entry.
 template <bool kNoise, bool kSlew>
-BestPredecessor scan_view(const CandList& view, const lib::BufferType& b,
+BestPredecessor scan_view(const CandList& view, double r, double d,
                           double max_slew) {
   BestPredecessor best;
   double best_q = -std::numeric_limits<double>::infinity();
-  const double r = b.resistance;
-  const double d = b.intrinsic_delay;
   for (std::size_t i = 0; i < view.size(); ++i) {
     const VgCand& c = view[i];
     if (kNoise && r * c.current > c.noise_slack) {
@@ -459,6 +464,14 @@ BestPredecessor scan_view(const CandList& view, const lib::BufferType& b,
   return best;
 }
 
+template <bool kNoise, bool kSlew>
+void scan_types(const CandList& view, std::span<const lib::BufferType> types,
+                double max_slew, std::span<BestPredecessor> best) {
+  for (std::size_t t = 0; t < best.size(); ++t)
+    best[t] = scan_view<kNoise, kSlew>(view, types[t].resistance,
+                                       types[t].intrinsic_delay, max_slew);
+}
+
 // cand_less between two fresh buffers at the same node (see
 // fuse_buffer_tail). The type tie-break is total: one record per type.
 bool record_less(const BufferRecord& a, const BufferRecord& b) {
@@ -470,16 +483,18 @@ bool record_less(const BufferRecord& a, const BufferRecord& b) {
 
 }  // namespace
 
-BestPredecessor select_best_predecessor(const CandList& view,
-                                        const lib::BufferType& b,
-                                        bool noise_constraints,
-                                        double max_slew) {
+void select_best_predecessors(const CandList& view,
+                              std::span<const lib::BufferType> types,
+                              bool noise_constraints, double max_slew,
+                              std::span<BestPredecessor> best) {
+  NBUF_EXPECTS(types.size() == best.size());
   const bool slew = max_slew < std::numeric_limits<double>::infinity();
-  if (noise_constraints)
-    return slew ? scan_view<true, true>(view, b, max_slew)
-                : scan_view<true, false>(view, b, max_slew);
-  return slew ? scan_view<false, true>(view, b, max_slew)
-              : scan_view<false, false>(view, b, max_slew);
+  if (noise_constraints) {
+    if (slew) return scan_types<true, true>(view, types, max_slew, best);
+    return scan_types<true, false>(view, types, max_slew, best);
+  }
+  if (slew) return scan_types<false, true>(view, types, max_slew, best);
+  return scan_types<false, false>(view, types, max_slew, best);
 }
 
 FuseCounts fuse_buffer_tail(CandList& list, BufferRecord* recs, std::size_t t,

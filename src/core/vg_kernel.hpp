@@ -11,6 +11,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -151,15 +152,21 @@ inline bool verify_lists_enabled(const VgOptions& opt) {
 // The fast kernel's buffer insertion (Fig. 11 Step 5) in two steps, each
 // bit-identical to the reference kernel's insert_buffers + prune:
 //
-//  * Select. For one (phase, count) bucket view and one buffer type, the
-//    best predecessor maximizes q = s - D - R*C over the feasible view
-//    entries; the reference loop verbatim (noise and slew predicates, the
-//    same q expression, a strict `>`), so the first index wins exact ties.
+//  * Select. For one (phase, count) bucket view, every buffer type's best
+//    predecessor maximizes q = s - D - R*C over the view entries feasible
+//    for that type. One call answers all types, each by the reference
+//    loop verbatim (noise and slew predicates, the same q expression, a
+//    strict `>`), so the first index wins exact ties. The view is scanned
+//    once per type while it is hot: on the 4-vCPU AVX-512 host with GCC 12
+//    and no -march flag, a single pass per view with a branch-free update
+//    per (entry, type) measured ~7% slower DP time on the Section V
+//    testbench, because the per-type branches predict well and the
+//    per-type running bests stay in registers (EXPERIMENTS.md F-T).
 //  * Fuse. Each chosen predecessor becomes a BufferRecord in the tail of
 //    its target bucket. fuse_buffer_tail folds that tail into the target's
 //    pre-insertion staircase and prunes the result in one forward pass.
 //
-// Select is a plain scan on purpose: an upper-convex-hull query over the
+// Select is an exact scan on purpose: an upper-convex-hull query over the
 // (load, slack) points (the Li-Shi O(bn^2) idea, PAPERS.md) is not exact
 // under IEEE rounding — two predecessors' q can round to the same bits
 // while only one lies on the hull — and tests/test_soa_kernel.cpp's
@@ -172,9 +179,12 @@ struct BestPredecessor {
   std::size_t infeasible = 0;  // view entries failing a predicate
 };
 
-[[nodiscard]] BestPredecessor select_best_predecessor(
-    const CandList& view, const lib::BufferType& b, bool noise_constraints,
-    double max_slew);
+// Selects the best predecessor in `view` for every buffer type: the answer
+// for types[t] goes to best[t] (the two spans have the same length).
+void select_best_predecessors(const CandList& view,
+                              std::span<const lib::BufferType> types,
+                              bool noise_constraints, double max_slew,
+                              std::span<BestPredecessor> best);
 
 // A fresh buffer candidate before it enters its target list: load
 // input_cap, slack q, noise slack noise_margin, current and dhat 0, plan

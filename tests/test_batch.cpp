@@ -1,17 +1,23 @@
 // Batch engine: determinism across thread counts, index-keyed ordering,
-// schedule-independent VgStats aggregates, and error propagation.
+// schedule-independent VgStats aggregates, and error propagation; and the
+// directory loader, which parses on the same pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "batch/batch.hpp"
+#include "io/netfile.hpp"
 #include "netgen/netgen.hpp"
 
 namespace {
@@ -203,6 +209,97 @@ TEST(Batch, ParallelForIndexStressUnderUnevenLoad) {
   EXPECT_EQ(done.load(), kCount);
   for (std::size_t i = 0; i < kCount; ++i)
     ASSERT_EQ(slot[i], task(i)) << "slot " << i;
+}
+
+// --- load_directory --------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+// A fresh, empty directory under the test temp dir.
+fs::path fresh_dir(const std::string& name) {
+  const fs::path d = fs::path(testing::TempDir()) / name;
+  fs::remove_all(d);
+  fs::create_directories(d);
+  return d;
+}
+
+// Each loaded net as the text io::write_net makes of it.
+std::vector<std::string> as_text(const std::vector<batch::BatchNet>& nets) {
+  std::vector<std::string> out;
+  for (const batch::BatchNet& n : nets) {
+    std::ostringstream s;
+    io::write_net(s, n.name, n.tree, rct::BufferAssignment{}, kLib);
+    out.push_back(s.str());
+  }
+  return out;
+}
+
+// The error load_directory raises on `dir`, or "no error".
+std::string load_error(const fs::path& dir, std::size_t threads) {
+  try {
+    (void)batch::load_directory(dir.string(), kLib, threads);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(BatchLoad, ParallelLoadMatchesSerial) {
+  // ~200 written netgen nets plus the example nets: file i of the sorted
+  // list lands in slot i at every thread count, and every tree is the one
+  // a serial load reads, byte for byte.
+  const fs::path dir = fresh_dir("nbuf_batch_load");
+  const auto nets = testbench(200, 77);
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    char file[32];
+    std::snprintf(file, sizeof file, "g%04zu.net", i);
+    io::write_net_file((dir / file).string(), nets[i].name, nets[i].tree,
+                       rct::BufferAssignment{}, kLib);
+  }
+  for (const fs::directory_entry& e : fs::directory_iterator(NBUF_EXAMPLES_DIR))
+    fs::copy_file(e.path(), dir / e.path().filename());
+  const std::vector<std::string> serial =
+      as_text(batch::load_directory(dir.string(), kLib, 1));
+  ASSERT_EQ(serial.size(), nets.size() + 3);
+  // Sorted filename order: control_tree, explicit_wires, g0000..g0199,
+  // long_two_pin.
+  EXPECT_EQ(serial[2], as_text({nets.front()}).front());
+  EXPECT_EQ(serial[nets.size() + 1], as_text({nets.back()}).front());
+  for (const std::size_t threads : {2, 4, 8})
+    EXPECT_EQ(as_text(batch::load_directory(dir.string(), kLib, threads)),
+              serial)
+        << threads << " threads";
+  fs::remove_all(dir);
+}
+
+TEST(BatchLoad, FirstCorruptFileIsNamedAtEveryThreadCount) {
+  // Every .net file of the corrupt corpus fails to parse; the error is the
+  // lowest sorted file's, prefixed with its path and keeping its line
+  // number, whichever worker reaches it first.
+  const std::string serial = load_error(NBUF_CORRUPT_DIR, 1);
+  EXPECT_NE(serial.find("/bad_trailing_token.net: line 3: "),
+            std::string::npos)
+      << serial;
+  for (const std::size_t threads : {2, 4, 8})
+    for (int run = 0; run < 5; ++run)
+      EXPECT_EQ(load_error(NBUF_CORRUPT_DIR, threads), serial)
+          << threads << " threads";
+}
+
+TEST(BatchLoad, EmptyAndForeignDirectoriesLoadNothing) {
+  // Only regular "*.net" files are nets: an empty directory, other
+  // extensions and a subdirectory named like a net all load as empty.
+  const fs::path dir = fresh_dir("nbuf_batch_foreign");
+  for (const std::size_t threads : {1, 4})
+    EXPECT_TRUE(batch::load_directory(dir.string(), kLib, threads).empty());
+  std::ofstream(dir / "notes.txt") << "not a net\n";
+  std::ofstream(dir / "lib.lib") << "library x\n";
+  fs::create_directories(dir / "sub.net");
+  for (const std::size_t threads : {1, 4})
+    EXPECT_TRUE(batch::load_directory(dir.string(), kLib, threads).empty());
+  EXPECT_THROW((void)batch::load_directory((dir / "notes.txt").string(), kLib),
+               std::invalid_argument);
+  fs::remove_all(dir);
 }
 
 // Negative control for the TSan lane: building this file with

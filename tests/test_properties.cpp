@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -422,10 +423,12 @@ core::detail::BestPredecessor reference_select(
 
 TEST(LibraryProperties, SelectBestPredecessorMatchesReferenceScan) {
   // Best-predecessor selection, isolated from the DP: on random staircases
-  // select_best_predecessor must pick exactly the reference loop's entry
-  // (first index among bit-equal q maxima), return its q bit for bit, and
-  // count the same infeasible entries. Odd trials use small integers, so
-  // q is exact and many entries tie bit for bit for some type.
+  // one select_best_predecessors call must answer every type exactly as
+  // the reference loop does for that type alone — the same entry (first
+  // index among bit-equal q maxima), its q bit for bit, and the same count
+  // of infeasible entries. Odd trials use small integers, so q is exact
+  // and many entries tie bit for bit for some type; every tenth trial runs
+  // the 64-type strength ladder.
   util::Rng rng(0xC0DE5);
   const double inf = std::numeric_limits<double>::infinity();
   for (int trial = 0; trial < 400; ++trial) {
@@ -439,6 +442,8 @@ TEST(LibraryProperties, SelectBestPredecessorMatchesReferenceScan) {
                      static_cast<double>(rng.uniform_int(1, 4)),
                      static_cast<double>(rng.uniform_int(1, 9)),
                      static_cast<double>(rng.uniform_int(0, 3)), 1.0, false});
+    } else if (trial % 10 == 4) {
+      library = lib::make_ladder_library(64, 0.45);
     } else {
       library = test::random_library(
           9000 + static_cast<std::uint64_t>(trial), types, 0.4);
@@ -480,14 +485,19 @@ TEST(LibraryProperties, SelectBestPredecessorMatchesReferenceScan) {
       slack += exact ? tie_r * dl + (rng.chance(0.6) ? 0.0 : 1.0)
                      : rng.uniform(1.0, 120.0) * ps;
     }
+    // Stale answers (a previous view's) must not leak into this one.
+    std::vector<core::detail::BestPredecessor> got(library.size(),
+                                                   {0, 1.0, 7});
+    core::detail::select_best_predecessors(view, library.types(), noise,
+                                           max_slew, got);
     for (lib::BufferId id : library.ids()) {
-      const lib::BufferType& b = library.at(id);
-      const auto want = reference_select(view, b, noise, max_slew);
-      const auto got =
-          core::detail::select_best_predecessor(view, b, noise, max_slew);
-      EXPECT_EQ(got.idx, want.idx) << "type " << id.value();
-      EXPECT_EQ(got.infeasible, want.infeasible) << "type " << id.value();
-      EXPECT_EQ(got.q, want.q) << "type " << id.value();
+      const auto want = reference_select(view, library.at(id), noise, max_slew);
+      const auto& g = got[id.value()];
+      EXPECT_EQ(g.idx, want.idx) << "type " << id.value();
+      EXPECT_EQ(g.infeasible, want.infeasible) << "type " << id.value();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.q),
+                std::bit_cast<std::uint64_t>(want.q))
+          << "type " << id.value();
     }
   }
 }

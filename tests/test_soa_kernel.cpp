@@ -207,18 +207,27 @@ TEST(SoAKernel, TailLoopCorpusSweepsMatchNaiveSemantics) {
     SCOPED_TRACE("corpus len=" + std::to_string(len));
     const CandList base = load_corpus(len);
 
-    {  // apply_wire: the reference kernel's extend_wire expressions.
-      CandList got = base;
-      sweeps::apply_wire(got, 0.03, 17.5, 0.004);
-      CandList naive;
-      for (const VgCand& c : base) {
-        const double wire_delay = 0.03 * (17.5 / 2.0 + c.load);
-        naive.push_back(VgCand{c.load + 17.5, c.slack - wire_delay,
-                               c.current + 0.004,
-                               c.noise_slack - 0.03 * (0.004 / 2.0 + c.current),
-                               c.dhat + wire_delay, c.plan});
+    {  // apply_wire: the reference kernel's extend_wire expressions, and
+       // the sortedness it reports is std::is_sorted's over its result, on
+       // the corpus and on the corpus reversed.
+      const core::PlanArena arena;
+      const auto order = [&](const VgCand& a, const VgCand& b) {
+        return core::detail::cand_less(a, b, arena);
+      };
+      for (const CandList& in : {base, CandList(base.rbegin(), base.rend())}) {
+        CandList got = in;
+        const bool sorted = sweeps::apply_wire(got, 0.03, 17.5, 0.004, arena);
+        CandList naive;
+        for (const VgCand& c : in) {
+          const double wire_delay = 0.03 * (17.5 / 2.0 + c.load);
+          naive.push_back(
+              VgCand{c.load + 17.5, c.slack - wire_delay, c.current + 0.004,
+                     c.noise_slack - 0.03 * (0.004 / 2.0 + c.current),
+                     c.dhat + wire_delay, c.plan});
+        }
+        expect_lists_identical(got, naive);
+        EXPECT_EQ(sorted, std::is_sorted(naive.begin(), naive.end(), order));
       }
-      expect_lists_identical(got, naive);
     }
 
     {  // prune_sweep: against an in-test naive filter over the original

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -193,6 +194,25 @@ TEST(Cli, BatchUsageErrors) {
   EXPECT_EQ(run_cli({"batch", "--netgen", "3", "--segment", "-10"})
                 .exit_code,
             2);
+}
+
+TEST(Cli, BatchDirNamesTheCorruptFile) {
+  // The three example nets and one unreadable file: the error names the
+  // file and keeps its line number, and the run is an input error.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "cli_corrupt_dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const fs::directory_entry& e : fs::directory_iterator(NBUF_EXAMPLES_DIR))
+    fs::copy_file(e.path(), dir / e.path().filename());
+  fs::copy_file(fs::path(NBUF_CORRUPT_DIR) / "nan_length.net",
+                dir / "nan_length.net");
+  testing::internal::CaptureStderr();
+  const CliRun r = run_cli({"batch", "--dir", dir.string()});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(r.exit_code, nbuf::cli::kExitUsage);
+  EXPECT_NE(err.find("nan_length.net: line 3: "), std::string::npos) << err;
+  fs::remove_all(dir);
 }
 
 // The nbuf_serve daemon's own argv parsing (tools/serve_app.cpp), driven

@@ -338,7 +338,7 @@ int load_workload(const char* what, const BatchArgs& args,
                   std::vector<batch::BatchNet>& nets) {
   try {
     if (!args.dir.empty()) {
-      nets = batch::load_directory(args.dir, library);
+      nets = batch::load_directory(args.dir, library, args.threads);
     } else {
       netgen::TestbenchOptions gen;
       gen.net_count = args.netgen_count;
