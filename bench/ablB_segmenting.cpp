@@ -6,6 +6,7 @@
 // a 60-net slice of the standard testbench.
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "common/workload.hpp"
 #include "core/tool.hpp"
 #include "util/table.hpp"
@@ -51,6 +52,6 @@ int main() {
   std::printf("%s\n", t.render().c_str());
   std::printf("paper shape check: finer segmenting -> better-or-equal delay "
               "at higher CPU -> %s\n",
-              monotone ? "HOLDS" : "CHECK");
-  return 0;
+              bench::verdict(monotone));
+  return bench::verdict_exit_code();
 }

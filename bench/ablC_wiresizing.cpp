@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "core/vanginneken.hpp"
 #include "seg/segment.hpp"
 #include "steiner/builders.hpp"
@@ -54,7 +55,7 @@ int main() {
   }
   std::printf("%s\n", t.render().c_str());
   std::printf("shape check: sizing never hurts (DP superset) -> %s\n\n",
-              monotone_gain ? "HOLDS" : "BROKEN");
+              bench::verdict(monotone_gain, bench::Miss::Broken));
 
   std::printf("== noise mode: buffers needed with and without sizing ==\n\n");
   util::Table t2({"L (um)", "buffers (buf-only)", "buffers (buf+size)"});
@@ -83,5 +84,5 @@ int main() {
   std::printf("%s\n", t2.render().c_str());
   std::printf("shape: widening wires lowers their resistance, stretching "
               "the Theorem-1 span, so sizing can substitute for buffers\n");
-  return 0;
+  return bench::verdict_exit_code();
 }

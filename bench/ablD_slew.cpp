@@ -7,6 +7,7 @@
 // unbuffered RC-length).
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "core/vanginneken.hpp"
 #include "elmore/slew.hpp"
 #include "seg/segment.hpp"
@@ -62,6 +63,6 @@ int main() {
   std::printf("%s\n", t.render().c_str());
   std::printf("shape checks: tighter slew -> more buffers (monotone) -> "
               "%s; noise adds buffers only when it binds beyond slew\n",
-              monotone ? "HOLDS" : "CHECK");
-  return 0;
+              bench::verdict(monotone));
+  return bench::verdict_exit_code();
 }

@@ -7,6 +7,7 @@
 // the iterative all-modes repair converges in a couple of rounds.
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "core/multisource.hpp"
 #include "core/tool.hpp"
 #include "rct/reroot.hpp"
@@ -67,6 +68,6 @@ int main() {
   std::printf("shape: joint requirement >= each single direction (within "
               "one repeater of the max) -> %s; repair converges in <= 2 "
               "rounds on two-pin lines\n",
-              joint_ge ? "HOLDS" : "CHECK");
-  return 0;
+              bench::verdict(joint_ge));
+  return bench::verdict_exit_code();
 }

@@ -8,6 +8,7 @@
 // noise-aware one gives it up for < a few percent of delay.
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "core/tool.hpp"
 #include "steiner/builders.hpp"
 #include "util/table.hpp"
@@ -61,6 +62,6 @@ int main() {
   std::printf("%s\n", t.render().c_str());
   std::printf("paper shape check (Theorem 2): delay-optimal solutions "
               "violate noise beyond some length -> %s\n",
-              violating_lengths > 0 ? "HOLDS" : "CHECK");
-  return 0;
+              bench::verdict(violating_lengths > 0));
+  return bench::verdict_exit_code();
 }

@@ -7,6 +7,7 @@
 // 386 golden" conservatism gap.
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "noise/devgan.hpp"
 #include "sim/golden.hpp"
 #include "steiner/builders.hpp"
@@ -90,7 +91,8 @@ int main() {
     std::printf("%s\n", t.render().c_str());
     std::printf("upper-bound property violated at %zu sinks (must be 0) -> "
                 "%s\n",
-                bound_violations, bound_violations == 0 ? "HOLDS" : "BROKEN");
-    return bound_violations == 0 ? 0 : 1;
+                bound_violations,
+                bench::verdict(bound_violations == 0, bench::Miss::Broken));
+    return bench::verdict_exit_code();
   }
 }

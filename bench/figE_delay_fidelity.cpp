@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "core/tool.hpp"
 #include "moments/moments.hpp"
 #include "sim/delay.hpp"
@@ -94,6 +95,6 @@ int main() {
   }
   std::printf("all three models agree on whether each extra buffer helps "
               "-> %s\n",
-              same_ranking ? "HOLDS" : "CHECK");
-  return 0;
+              bench::verdict(same_ranking));
+  return bench::verdict_exit_code();
 }

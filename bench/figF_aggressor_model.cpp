@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "noise/devgan.hpp"
 #include "sim/dense.hpp"
 #include "sim/golden.hpp"
@@ -92,8 +93,8 @@ int main() {
   std::printf("%s\n", t.render().c_str());
   std::printf("bound holds at every aggressor strength -> %s; "
               "weaker aggressor drivers only add margin -> %s\n\n",
-              bound_holds ? "HOLDS" : "BROKEN",
-              monotone ? "HOLDS" : "CHECK");
+              bench::verdict(bound_holds, bench::Miss::Broken),
+              bench::verdict(monotone));
 
   std::printf("== Fig F-F.2: aggressor input rise-time sweep (ideal "
               "coupling, eq. 6 linear-in-slope) ==\n\n");
@@ -115,6 +116,6 @@ int main() {
   std::printf("%s\n", t2.render().c_str());
   std::printf("metric scales ~linearly with slope and bounds simulation at "
               "every rise time -> %s\n",
-              bound2 ? "HOLDS" : "BROKEN");
-  return bound_holds && bound2 ? 0 : 1;
+              bench::verdict(bound2, bench::Miss::Broken));
+  return bench::verdict_exit_code();
 }

@@ -1,7 +1,7 @@
 // figI: fast Van Ginneken kernel A/B speedup.
 //
 // Times the reference (seed) kernel against the fast kernel (sort-free
-// pruning, read-view insertion, pooled lists) on
+// pruning, read-view insertion) on
 //
 //   * figD-style serial chains: two-pin nets segmented at 500 µm with 512
 //     candidate sites (the acceptance workload, n >= 500), in both the

@@ -9,6 +9,7 @@
 // conservative upper bound).
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "common/workload.hpp"
 #include "core/tool.hpp"
 #include "sim/golden.hpp"
@@ -58,9 +59,9 @@ int main() {
               metric_before - golden_before, golden_not_metric);
   std::printf("\npaper shape check: metric >= golden before; both 0 after "
               "-> %s\n",
-              (metric_before >= golden_before && metric_after == 0 &&
-               golden_after == 0 && golden_not_metric == 0)
-                  ? "HOLDS"
-                  : "VIOLATED");
-  return metric_after == 0 && golden_after == 0 ? 0 : 1;
+              bench::verdict(metric_before >= golden_before &&
+                                 metric_after == 0 && golden_after == 0 &&
+                                 golden_not_metric == 0,
+                             bench::Miss::Broken));
+  return bench::verdict_exit_code();
 }

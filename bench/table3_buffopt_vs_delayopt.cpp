@@ -7,6 +7,7 @@
 // nets, total buffers inserted, candidates explored, CPU seconds.
 #include <cstdio>
 
+#include "common/verdict.hpp"
 #include "common/workload.hpp"
 #include "core/tool.hpp"
 #include "util/table.hpp"
@@ -79,16 +80,16 @@ int main() {
               buff.max_net_buffers);
   std::printf("\npaper shape checks:\n");
   std::printf("  BuffOpt fixes everything, DelayOpt(4) does not  -> %s\n",
-              (buff.violating_nets == 0 && d4.violating_nets > 0) ? "HOLDS"
-                                                                   : "CHECK");
+              bench::verdict(buff.violating_nets == 0 &&
+                             d4.violating_nets > 0));
   std::printf("  DelayOpt(4) inserts more buffers than BuffOpt   -> %s "
               "(+%lld)\n",
-              d4.buffers > buff.buffers ? "HOLDS" : "CHECK",
+              bench::verdict(d4.buffers > buff.buffers),
               static_cast<long long>(d4.buffers) -
                   static_cast<long long>(buff.buffers));
   std::printf("  BuffOpt(4) explores fewer candidates than DelayOpt(4) "
               "-> %s (%zu vs %zu; CPU %.3f vs %.3f s)\n",
-              buff4.candidates <= d4.candidates ? "HOLDS" : "CHECK",
+              bench::verdict(buff4.candidates <= d4.candidates),
               buff4.candidates, d4.candidates, buff4.cpu, d4.cpu);
-  return buff.violating_nets == 0 ? 0 : 1;
+  return bench::verdict_exit_code();
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <map>
 
+#include "common/verdict.hpp"
 #include "common/workload.hpp"
 #include "core/tool.hpp"
 #include "util/table.hpp"
@@ -89,7 +90,7 @@ int main() {
   }
   std::printf("\npaper shape check: penalty < 5%% and DelayOpt >= BuffOpt "
               "-> %s\n",
-              (penalty < 0.05 && delay_avg >= buff_avg - 1e-9) ? "HOLDS"
-                                                               : "CHECK");
-  return 0;
+              bench::verdict(penalty < 0.05 &&
+                             delay_avg >= buff_avg - 1e-9));
+  return bench::verdict_exit_code();
 }

@@ -1,6 +1,6 @@
 // The list sweeps of the fast Van Ginneken kernel's three list steps (wire
 // update, fused dead+Pareto prune, two-list merge), factored out of
-// vanginneken_fast.cpp so tests/test_soa_kernel can drive them directly
+// vanginneken_fast.cpp so tests/test_fast_kernel can drive them directly
 // over the tail-loop regression corpus.
 //
 // Every loop here performs the reference kernel's exact IEEE operations per
@@ -49,7 +49,7 @@ struct PruneResult {
 // exact decision order per candidate — dead first (under noise
 // constraints), then the running-best-slack dominance test — as ONE
 // in-place scan: nothing moves at all until the first kill (the common case
-// on converged lists — soa_prunes_no_move).
+// on converged lists — prunes_no_move).
 inline PruneResult prune_sweep(CandList& l, bool noise) {
   PruneResult r;
   double best = -std::numeric_limits<double>::infinity();

@@ -92,52 +92,6 @@ rct::NodeId apply_perturbation(rct::RoutingTree& tree,
   return rct::NodeId{};
 }
 
-Perturbation random_perturbation(util::Rng& rng,
-                                 const rct::RoutingTree& tree) {
-  Perturbation p;
-  const auto order = tree.preorder();
-  const auto pick_non_source = [&] {
-    return order[static_cast<std::size_t>(
-        rng.uniform_int(1, static_cast<int>(order.size()) - 1))];
-  };
-  switch (rng.uniform_int(0, 2)) {
-    case 0: {
-      p.kind = Perturbation::Kind::WireScale;
-      p.node = pick_non_source();
-      p.res_factor = rng.uniform(0.4, 2.5);
-      p.cap_factor = rng.uniform(0.4, 2.5);
-      p.cur_factor = rng.uniform(0.4, 2.5);
-      break;
-    }
-    case 1: {
-      p.kind = Perturbation::Kind::SinkSet;
-      p.sink = rct::SinkId{static_cast<std::uint32_t>(
-          rng.uniform_int(0, static_cast<int>(tree.sink_count()) - 1))};
-      p.sink_info = tree.sink(p.sink);
-      p.sink_info.cap *= rng.uniform(0.5, 2.0);
-      p.sink_info.noise_margin = rng.uniform(0.3, 1.2);
-      break;
-    }
-    default: {
-      const rct::NodeId v = pick_non_source();
-      const double frac = rng.uniform(0.25, 0.75);
-      const double len = tree.node(v).parent_wire.length;
-      if (len > 1.0) {
-        p.kind = Perturbation::Kind::WireSplit;
-        p.node = v;
-        p.dist_above = frac * len;
-      } else {
-        // Too short to split: degrade to a rescale so every draw edits.
-        p.kind = Perturbation::Kind::WireScale;
-        p.node = v;
-        p.res_factor = p.cap_factor = p.cur_factor = 1.0 + frac;
-      }
-      break;
-    }
-  }
-  return p;
-}
-
 IncrementalContext::IncrementalContext(rct::RoutingTree tree,
                                        const lib::BufferLibrary& lib,
                                        VgOptions opt)
@@ -226,7 +180,10 @@ void IncrementalContext::invalidate_all() { memo_.invalidate_all(); }
 
 const VgResult& IncrementalContext::optimize() {
   NBUF_TRACE_SPAN_TAGGED("incremental.optimize", tree_.node_count());
-  result_ = detail::run_fast_kernel(tree_, lib_, opt_, arena_, &memo_);
+  // Re-clamped on every run: a split adds a site and may raise the clamp
+  // (the memo pads nodes cached under a lower one).
+  result_ = detail::run_fast_kernel(
+      tree_, lib_, detail::clamped_to_sites(tree_, opt_), arena_, &memo_);
   have_result_ = true;
   ++stats_.runs;
   stats_.last_reused = memo_.reused;

@@ -11,12 +11,12 @@
 // candidate-order ties resolve by plan CONTENT (detail::cand_less), never
 // by ref value. Every run is the fast kernel, the default engine of a
 // cold core::optimize; its memo is detail::SubtreeMemo (core/vg_kernel.hpp),
-// one packed block of candidate lanes plus bucket offsets per node.
+// one packed block of VgCand candidates plus bucket offsets per node.
 //
 // Perturbation is the shared edit vocabulary: src/serve's PERTURB opcode
 // wraps this API, and tests/test_incremental's differential harness draws
-// edits with random_perturbation(), applies them through
-// IncrementalContext::apply() and cross-checks a cold core::optimize.
+// random local edits, applies them through IncrementalContext::apply() and
+// cross-checks a cold core::optimize.
 //
 // Memory: the context owns one PlanArena for its whole lifetime (cached
 // candidates hold refs into it) and never frees a cell, so the arena grows
@@ -34,7 +34,6 @@
 #include "core/vg_kernel.hpp"
 #include "lib/buffer.hpp"
 #include "rct/tree.hpp"
-#include "util/rng.hpp"
 
 namespace nbuf::core {
 
@@ -68,14 +67,6 @@ struct Perturbation {
 // re-analyze from scratch). Returns the new node for WireSplit, an invalid
 // id otherwise.
 rct::NodeId apply_perturbation(rct::RoutingTree& tree, const Perturbation& p);
-
-// A random local edit (WireScale / SinkSet / WireSplit with the 120-case
-// harness's historic distributions): rescale factors in [0.4, 2.5], sink
-// cap x[0.5, 2.0] with a fresh margin in [0.3, 1.2] V, splits at
-// [0.25, 0.75] of wires longer than 1 µm (shorter wires degrade to a
-// WireScale so every draw yields a usable edit).
-[[nodiscard]] Perturbation random_perturbation(util::Rng& rng,
-                                               const rct::RoutingTree& tree);
 
 class IncrementalContext {
  public:

@@ -311,6 +311,18 @@ void expect_valid_inputs(const rct::RoutingTree& tree,
                options.max_buffers < std::numeric_limits<std::size_t>::max());
 }
 
+VgOptions clamped_to_sites(const rct::RoutingTree& tree, VgOptions options) {
+  std::size_t sites = 0;
+  for (std::size_t i = 0; i < tree.node_count(); ++i) {
+    const rct::Node& n =
+        tree.node(rct::NodeId{static_cast<rct::NodeId::underlying_type>(i)});
+    if (n.kind == rct::NodeKind::Internal && n.buffer_allowed) ++sites;
+  }
+  options.max_buffers =
+      std::min(options.max_buffers, std::max(sites, std::size_t{1}));
+  return options;
+}
+
 VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
                   const VgOptions& opt, const util::VgStats& stats,
                   const PlanArena& arena) {
@@ -390,10 +402,11 @@ VgResult optimize(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
                   const VgOptions& options) {
   NBUF_TRACE_SPAN_TAGGED("vg.optimize", tree.node_count());
   detail::expect_valid_inputs(tree, lib, options);
+  const VgOptions opt = detail::clamped_to_sites(tree, options);
   PlanArena arena;
-  if (options.kernel == VgKernel::Reference || !options.prune_candidates)
-    return detail::ReferenceDp(tree, lib, options, arena).run();
-  return detail::run_fast_kernel(tree, lib, options, arena);
+  if (opt.kernel == VgKernel::Reference || !opt.prune_candidates)
+    return detail::ReferenceDp(tree, lib, opt, arena).run();
+  return detail::run_fast_kernel(tree, lib, opt, arena);
 }
 
 rct::BufferAssignment assignment_for(const std::vector<PlannedBuffer>& plan) {

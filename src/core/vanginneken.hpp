@@ -13,9 +13,15 @@
 //    than DelayOpt.
 //
 // With noise_constraints = false this is exactly the DelayOpt baseline of
-// Section V. Pruning is by (load, slack) only, as in the paper (Step 7);
-// Theorem 5 shows this never discards the optimum for a single-type
-// library.
+// Section V. Pruning is by (load, slack) only, as in the paper (Step 7).
+// Theorem 5 claims optimality for a single-type library under mild
+// assumptions; against an exhaustive oracle that is measured, not proven
+// here. MaxSlack was exact on every oracle tree. Problem 3
+// (MinBuffersMeetingConstraints) used more buffers than the brute-force
+// minimum on 3 of 1,500 single-type trees with sink margins 0.4-0.8 V and
+// on 1 of 200 two-type trees: (C, q) pruning can drop the candidate with
+// the better noise slack. The Section V counts are the same pruned and
+// unpruned (ROADMAP item 7).
 #pragma once
 
 #include <limits>
@@ -50,8 +56,7 @@ enum class VgKernel {
   // pruning is one linear scan (std::sort only runs when the invariant is
   // genuinely broken, i.e. the wire-sizing fork path); buffer insertion
   // reads the lists in place instead of deep-copying them; the candidate
-  // lists are the reference kernel's own, with their buffers pooled per
-  // run.
+  // lists are the reference kernel's own.
   Fast,
   // The original seed implementation: re-sorts every list on every prune
   // and snapshots all lists at each buffer-insertion node.
@@ -64,12 +69,15 @@ enum class VgKernel {
 
 struct VgOptions {
   bool noise_constraints = true;   // true = BuffOpt, false = DelayOpt
-  std::size_t max_buffers = 24;    // k cap for the count-indexed lists
+  // k cap for the count-indexed lists; the DP clamps it to the tree's
+  // buffer sites (no candidate can hold more buffers than that).
+  std::size_t max_buffers = 24;
   VgObjective objective = VgObjective::MaxSlack;
-  // Ablation knob: disable (load, slack) dominance pruning (Step 7). The
-  // result is unchanged — pruning is provably safe — but candidate lists
-  // grow; bench/ablA_pruning measures by how much. Runs the reference
-  // kernel whatever `kernel` says.
+  // Ablation knob: disable (load, slack) dominance pruning (Step 7).
+  // Candidate lists grow; bench/ablA_pruning measures by how much. The
+  // MaxSlack answer was the same on every tree measured; Problem 3's can
+  // differ (see the header). Runs the reference kernel whatever `kernel`
+  // says.
   bool prune_candidates = true;
   // Simultaneous wire sizing (Lillis et al.): when non-empty, every wire is
   // additionally assigned one of these widths during the same DP. Width 0

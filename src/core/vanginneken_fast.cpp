@@ -35,9 +35,8 @@
 //     verify_cand_list serve both kernels. The list steps are the plain
 //     sweeps of core/cand_sweeps.hpp.
 //
-// Candidate lists are recycled through a per-run free list (ListPool), so
-// steady-state DP makes no allocator calls. Plans live in the caller's
-// PlanArena.
+// Lists are plain vectors, made and dropped with their nodes; plans live in
+// the caller's PlanArena.
 //
 // With a SubtreeMemo (core::IncrementalContext), process(v) serves valid
 // nodes from the memo and stores every node it recomputes.
@@ -46,7 +45,7 @@
 // core::optimize sends the unpruned ablation to the reference kernel.
 // Bit-identity with the reference kernel (same pruning decisions, same
 // tie-break order, same legacy VgStats counters) is pinned by
-// tests/test_vg_kernel.cpp and tests/test_soa_kernel.cpp; the speedup is
+// tests/test_vg_kernel.cpp and tests/test_fast_kernel.cpp; the speedup is
 // measured by bench/figI_kernel_speedup.
 #include <algorithm>
 #include <cstdint>
@@ -63,35 +62,6 @@
 namespace nbuf::core::detail {
 
 namespace {
-
-// Recycles candidate lists within one run, the same ownership shape as
-// PlanArena: the DP creates and drops thousands of short-lived lists, and
-// reusing their buffers keeps the allocator off the hot path. acquire()
-// hands back a cleared list keeping whatever capacity its previous life
-// grew; release() returns a list (no-op for lists that never allocated).
-class ListPool {
- public:
-  [[nodiscard]] CandList acquire() {
-    if (free_.empty()) return {};
-    CandList l = std::move(free_.back());
-    free_.pop_back();
-    l.clear();
-    ++reuses_;
-    return l;
-  }
-
-  void release(CandList&& l) {
-    if (l.capacity() == 0) return;
-    free_.push_back(std::move(l));
-  }
-
-  // Lists handed out that carried reusable capacity.
-  [[nodiscard]] std::size_t reuses() const noexcept { return reuses_; }
-
- private:
-  std::vector<CandList> free_;
-  std::size_t reuses_ = 0;
-};
 
 class FastVgRun {
  public:
@@ -120,14 +90,13 @@ class FastVgRun {
   NodeLists process(rct::NodeId v);
   NodeLists compute(rct::NodeId v);
   void store(const NodeLists& lists, SubtreeMemo::Node& node) const;
-  NodeLists restore(const SubtreeMemo::Node& node);
+  NodeLists restore(const SubtreeMemo::Node& node) const;
   void extend_wire(NodeLists& lists, rct::NodeId child);
   void insert_buffers(NodeLists& lists, rct::NodeId v);
-  NodeLists merge(NodeLists l, NodeLists r);
+  NodeLists merge(const NodeLists& l, const NodeLists& r);
 
   void prune(CandList& list, bool known_sorted);
   void merge_runs(CandList& list);
-  void release_lists(NodeLists& lists);
 
   [[nodiscard]] auto order() const {
     return [this](const VgCand& a, const VgCand& b) {
@@ -145,7 +114,6 @@ class FastVgRun {
   const bool sizing_;
   PlanArena& arena_;
   SubtreeMemo* memo_;  // null for a cold run
-  ListPool pool_;
   CandList scratch_;                      // merge target, swapped back
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
   std::vector<BufferRecord> tail_;  // insert_buffers' records of one target
@@ -173,7 +141,7 @@ void FastVgRun::prune(CandList& list, bool known_sorted) {
       sweeps::prune_sweep(list, opt_.noise_constraints);
   stats_.pruned_infeasible += pr.dead;
   stats_.pruned_inferior += pr.inferior;
-  if (!pr.moved) ++stats_.soa_prunes_no_move;
+  if (!pr.moved) ++stats_.prunes_no_move;
   stats_.peak_list_size = std::max(stats_.peak_list_size, list.size());
   if (verify_lists_enabled(opt_)) verify_cand_list(list, opt_, arena_);
 }
@@ -228,7 +196,7 @@ void FastVgRun::extend_wire(NodeLists& lists, rct::NodeId child) {
   for (auto& phase_lists : lists.by_phase) {
     for (CandList& list : phase_lists) {
       if (list.empty()) continue;
-      CandList expanded = pool_.acquire();
+      CandList expanded;
       const std::size_t widths = opt_.wire_widths.size();
       expanded.reserve(list.size() * widths);
       for (const VgCand& c : list) {
@@ -246,7 +214,6 @@ void FastVgRun::extend_wire(NodeLists& lists, rct::NodeId child) {
         }
       }
       note_created(expanded.size());
-      pool_.release(std::move(list));
       list = std::move(expanded);
       prune(list, /*known_sorted=*/false);
     }
@@ -300,19 +267,14 @@ void FastVgRun::insert_buffers(NodeLists& lists, rct::NodeId v) {
       ++stats_.prune_calls;
       stats_.pruned_infeasible += c.dead;
       stats_.pruned_inferior += c.inferior;
-      if (c.dead + c.inferior == 0) ++stats_.soa_prunes_no_move;
+      if (c.dead + c.inferior == 0) ++stats_.prunes_no_move;
       stats_.peak_list_size = std::max(stats_.peak_list_size, list.size());
       if (verify_lists_enabled(opt_)) verify_cand_list(list, opt_, arena_);
     }
   }
 }
 
-void FastVgRun::release_lists(NodeLists& lists) {
-  for (auto& phase_lists : lists.by_phase)
-    for (CandList& list : phase_lists) pool_.release(std::move(list));
-}
-
-NodeLists FastVgRun::merge(NodeLists l, NodeLists r) {
+NodeLists FastVgRun::merge(const NodeLists& l, const NodeLists& r) {
   NBUF_TRACE_DETAIL_TAGGED("vg.merge", l.total_size() + r.total_size());
   const std::size_t kmax = opt_.max_buffers;
   NodeLists out;
@@ -330,7 +292,6 @@ NodeLists FastVgRun::merge(NodeLists l, NodeLists r) {
         if (a.empty()) continue;
         const CandList& b = r.by_phase[phase][ks - kl];
         if (b.empty()) continue;
-        if (dst.capacity() == 0) dst = pool_.acquire();
         run_bounds_.push_back(dst.size());
         const std::size_t m = sweeps::merge_sweep(a, b, arena_, dst);
         note_created(m);
@@ -345,8 +306,6 @@ NodeLists FastVgRun::merge(NodeLists l, NodeLists r) {
       prune(dst, is_sorted(dst));
     }
   }
-  release_lists(l);
-  release_lists(r);
   return out;
 }
 
@@ -377,18 +336,20 @@ void FastVgRun::store(const NodeLists& lists, SubtreeMemo::Node& node) const {
   node.valid = true;
 }
 
-NodeLists FastVgRun::restore(const SubtreeMemo::Node& node) {
+// A node cached under a lower site clamp (core::IncrementalContext re-clamps
+// max_buffers as splits add sites) holds fewer buckets per phase. Its
+// subtree had no more sites than that clamp, so the buckets above are
+// empty: restoring pads them, exactly as a recompute would fill them.
+NodeLists FastVgRun::restore(const SubtreeMemo::Node& node) const {
+  const std::size_t cached = (node.offsets.size() - 1) / 2;
+  NBUF_ASSERT(cached <= opt_.max_buffers + 1);  // sites never go away
   NodeLists lists;
   std::size_t b = 0;
   for (auto& phase_lists : lists.by_phase) {
     phase_lists.resize(opt_.max_buffers + 1);
-    for (CandList& list : phase_lists) {
-      const auto from = node.cands.begin() + node.offsets[b];
-      const auto to = node.cands.begin() + node.offsets[++b];
-      if (from == to) continue;
-      list = pool_.acquire();
-      list.assign(from, to);
-    }
+    for (std::size_t k = 0; k < cached; ++k, ++b)
+      phase_lists[k].assign(node.cands.begin() + node.offsets[b],
+                            node.cands.begin() + node.offsets[b + 1]);
   }
   return lists;
 }
@@ -400,10 +361,8 @@ NodeLists FastVgRun::compute(rct::NodeId v) {
     NodeLists lists;
     for (auto& pl : lists.by_phase) pl.resize(opt_.max_buffers + 1);
     const rct::SinkInfo& si = tree_.sink(n.sink);
-    CandList& seedlist = lists.by_phase[si.require_inverted ? 1 : 0][0];
-    seedlist = pool_.acquire();
-    seedlist.push_back(VgCand{si.cap, si.required_arrival, 0.0,
-                              si.noise_margin, 0.0, kNullPlan});
+    lists.by_phase[si.require_inverted ? 1 : 0][0].push_back(VgCand{
+        si.cap, si.required_arrival, 0.0, si.noise_margin, 0.0, kNullPlan});
     note_created(1);
     return lists;
   }
@@ -417,7 +376,7 @@ NodeLists FastVgRun::compute(rct::NodeId v) {
   if (n.children.size() == 2) {
     NodeLists rightl = process(n.children.back());
     extend_wire(rightl, n.children.back());
-    acc = merge(std::move(acc), std::move(rightl));
+    acc = merge(acc, rightl);
   }
   if (n.kind == rct::NodeKind::Internal && n.buffer_allowed)
     insert_buffers(acc, v);
@@ -431,7 +390,6 @@ VgResult FastVgRun::run() {
     memo_->recomputed = 0;
   }
   const NodeLists at_source = process(tree_.source());
-  stats_.pool_reuses = pool_.reuses();
   return finalize(at_source, tree_, opt_, stats_, arena_);
 }
 

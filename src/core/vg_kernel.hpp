@@ -169,7 +169,7 @@ inline bool verify_lists_enabled(const VgOptions& opt) {
 // Select is an exact scan on purpose: an upper-convex-hull query over the
 // (load, slack) points (the Li-Shi O(bn^2) idea, PAPERS.md) is not exact
 // under IEEE rounding — two predecessors' q can round to the same bits
-// while only one lies on the hull — and tests/test_soa_kernel.cpp's
+// while only one lies on the hull — and tests/test_fast_kernel.cpp's
 // differential fuzz found a plan divergence of that shape
 // (docs/library.md).
 struct BestPredecessor {
@@ -228,7 +228,7 @@ FuseCounts fuse_buffer_tail(CandList& list, BufferRecord* recs, std::size_t t,
 // arena, which must outlive the memo.
 struct SubtreeMemo {
   struct Node {
-    std::vector<std::uint32_t> offsets;  // 2 * (max_buffers + 1) + 1
+    std::vector<std::uint32_t> offsets;  // 2 * (buckets per phase) + 1
     CandList cands;
     bool valid = false;
   };
@@ -252,6 +252,14 @@ struct SubtreeMemo {
 void expect_valid_inputs(const rct::RoutingTree& tree,
                          const lib::BufferLibrary& lib,
                          const VgOptions& options);
+
+// `options` with max_buffers clamped to the tree's buffer sites (at least
+// one). A candidate's buffer count never exceeds the sites below it, so no
+// bucket above the clamp can fill: the answer, per_count and every fast-
+// kernel counter are unchanged, and a huge max_buffers sizes no buckets
+// that stay empty.
+[[nodiscard]] VgOptions clamped_to_sites(const rct::RoutingTree& tree,
+                                         VgOptions options);
 
 // Driver fold (Fig. 10 Steps 2-4) and objective selection, shared verbatim
 // by both kernels so a kernel difference can only come from the DP itself.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -64,20 +63,6 @@ BufferId BufferLibrary::strongest() const {
       best = i;
   }
   return BufferId{static_cast<BufferId::underlying_type>(best)};
-}
-
-double BufferLibrary::min_input_cap() const {
-  NBUF_EXPECTS(!types_.empty());
-  double m = std::numeric_limits<double>::infinity();
-  for (const auto& t : types_) m = std::min(m, t.input_cap);
-  return m;
-}
-
-BufferLibrary BufferLibrary::non_inverting() const {
-  BufferLibrary out;
-  for (const auto& t : types_)
-    if (!t.inverting) out.add(t);
-  return out;
 }
 
 BufferLibrary default_library() {

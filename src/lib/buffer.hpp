@@ -65,14 +65,6 @@ class BufferLibrary {
   // library to this single type.
   [[nodiscard]] BufferId strongest() const;
 
-  // Smallest input capacitance over the library (used by Theorem 5's
-  // feasibility assumptions and by tests).
-  [[nodiscard]] double min_input_cap() const;
-
-  // Restrict to non-inverting types only (Algorithms 1/2 insert repeaters,
-  // not inverters, because they do not track polarity).
-  [[nodiscard]] BufferLibrary non_inverting() const;
-
  private:
   std::vector<BufferType> types_;
 };

@@ -63,7 +63,8 @@ struct NoiseReport {
 // NS(sink) = NM(sink); upstream,
 //   NS(u) = min over children v of ( NS(v) - Noise((u,v)) ).
 // The downstream noise constraints hold iff R_g * I(g) <= NS(g) at the
-// driving gate g. Used by Algorithms 1/2 and exposed for tests.
+// driving gate g. A test oracle: computed independently of the DP, which
+// carries its own noise slacks; no product code calls it.
 [[nodiscard]] std::unordered_map<rct::NodeId, double> noise_slacks(
     const rct::RoutingTree& tree);
 

@@ -146,12 +146,6 @@ const SinkInfo& RoutingTree::sink(SinkId id) const {
   return sinks_[id.value()];
 }
 
-const SinkInfo& RoutingTree::sink_at(NodeId id) const {
-  const Node& n = node(id);
-  NBUF_EXPECTS_MSG(n.kind == NodeKind::Sink, "node is not a sink");
-  return sink(n.sink);
-}
-
 bool RoutingTree::is_binary() const {
   return std::all_of(nodes_.begin(), nodes_.end(), [](const Node& n) {
     return n.children.size() <= 2;
@@ -184,20 +178,6 @@ std::vector<NodeId> RoutingTree::postorder() const {
   // Reversed preorder visits every node after all of its descendants (it is
   // a valid postorder, though not the mirror-image one).
   return order;
-}
-
-std::vector<NodeId> RoutingTree::path(NodeId from, NodeId to) const {
-  std::vector<NodeId> rev;
-  NodeId cur = to;
-  while (cur.valid()) {
-    rev.push_back(cur);
-    if (cur == from) break;
-    cur = node(cur).parent;
-  }
-  NBUF_EXPECTS_MSG(!rev.empty() && rev.back() == from,
-                   "`from` is not an ancestor of `to`");
-  std::reverse(rev.begin(), rev.end());
-  return rev;
 }
 
 double RoutingTree::total_cap() const {

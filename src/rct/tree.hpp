@@ -95,7 +95,6 @@ class RoutingTree {
   [[nodiscard]] NodeId source() const;
   [[nodiscard]] const Driver& driver() const;
   [[nodiscard]] const SinkInfo& sink(SinkId id) const;
-  [[nodiscard]] const SinkInfo& sink_at(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
@@ -112,10 +111,6 @@ class RoutingTree {
   [[nodiscard]] std::vector<NodeId> postorder() const;
   // Nodes of the subtree rooted at `root`, preorder.
   [[nodiscard]] std::vector<NodeId> subtree_preorder(NodeId root) const;
-
-  // Path from ancestor `from` down to `to` (inclusive of both endpoints).
-  // Throws if `from` is not an ancestor of `to`.
-  [[nodiscard]] std::vector<NodeId> path(NodeId from, NodeId to) const;
 
   // --- aggregates ----------------------------------------------------------
   // Total wire capacitance + sink pin capacitance (no buffers).

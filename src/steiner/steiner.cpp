@@ -187,13 +187,4 @@ rct::RoutingTree build_tree(Point source_at, rct::Driver driver,
   return tree;
 }
 
-double estimate_wirelength(Point source_at, const std::vector<PinSpec>& pins) {
-  if (pins.empty()) return 0.0;
-  const GeomTree g = route(source_at, pins);
-  double total = 0.0;
-  for (int i = 1; i < static_cast<int>(g.nodes.size()); ++i)
-    total += manhattan(g.nodes[i].p, g.nodes[g.nodes[i].parent].p);
-  return total;
-}
-
 }  // namespace nbuf::steiner

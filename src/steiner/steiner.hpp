@@ -38,9 +38,4 @@ struct PinSpec {
                                           const std::vector<PinSpec>& pins,
                                           const lib::Technology& tech);
 
-// Total routed wirelength of the Steiner tree over `pins` without building
-// the electrical tree (used by the workload generator for sizing).
-[[nodiscard]] double estimate_wirelength(Point source_at,
-                                         const std::vector<PinSpec>& pins);
-
 }  // namespace nbuf::steiner

@@ -33,7 +33,6 @@ struct VgStats {
   // these record how often the sort actually had to run.
   std::size_t prune_calls = 0;  // prune passes over a list
   std::size_t prune_sorts = 0;  // passes that had to std::sort
-  std::size_t pool_reuses = 0;  // candidate-list blocks recycled (pool)
   // Best-predecessor counters (fast kernel). The insertion step scans each
   // nonempty (phase, count) bucket once per buffer type for its best
   // predecessor; these record how many buckets were scanned and how many
@@ -43,10 +42,8 @@ struct VgStats {
   std::size_t bp_candidates_killed = 0;  // infeasible for every type
   std::size_t lib_types = 0;             // buffer-library size seen (max)
   // Fast-kernel prunes (a fused dead+Pareto scan or a buffer-tail fuse)
-  // that removed nothing. The name predates the kernel's VgCand lists and
-  // is kept so vgstats and --metrics output stay stable.
-  std::size_t soa_prunes_no_move = 0;  // prunes that killed nothing and
-                                       // skipped compaction entirely
+  // that killed nothing and skipped compaction entirely.
+  std::size_t prunes_no_move = 0;
 
   // Aggregation over runs: each field adds or takes the max, per its
   // kVgStatsFields entry.
@@ -83,8 +80,6 @@ inline constexpr VgStatsField kVgStatsFields[] = {
      VgStatsField::Metric::Counter, "vg.prune_calls"},
     {"prune_sorts", &VgStats::prune_sorts, VgStatsField::Agg::Sum,
      VgStatsField::Metric::Counter, "vg.prune_sorts"},
-    {"pool_reuses", &VgStats::pool_reuses, VgStatsField::Agg::Sum,
-     VgStatsField::Metric::Counter, "vg.pool_reuses"},
     {"bp_prune_calls", &VgStats::bp_prune_calls, VgStatsField::Agg::Sum,
      VgStatsField::Metric::Counter, "vg.bp_prune_calls"},
     {"bp_candidates_killed", &VgStats::bp_candidates_killed,
@@ -92,9 +87,8 @@ inline constexpr VgStatsField kVgStatsFields[] = {
      "vg.bp_candidates_killed"},
     {"lib_types", &VgStats::lib_types, VgStatsField::Agg::Max,
      VgStatsField::Metric::Gauge, "lib.types"},
-    {"soa_prunes_no_move", &VgStats::soa_prunes_no_move,
-     VgStatsField::Agg::Sum, VgStatsField::Metric::Counter,
-     "vg.soa_prunes_no_move"},
+    {"prunes_no_move", &VgStats::prunes_no_move, VgStatsField::Agg::Sum,
+     VgStatsField::Metric::Counter, "vg.prunes_no_move"},
 };
 
 // A field added to VgStats without a table entry fails the build here.

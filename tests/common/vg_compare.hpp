@@ -1,6 +1,6 @@
 // Bit-identity comparison of two VgResults and the option cycle, shared by
 // the kernel differential suites (test_vg_kernel on the paper library,
-// test_library_kernel and test_soa_kernel on randomized multi-type
+// test_library_kernel and test_fast_kernel on randomized multi-type
 // libraries).
 //
 // Every deterministic field must agree EXACTLY — slack bits, buffer

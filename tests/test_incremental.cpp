@@ -6,6 +6,7 @@
 #include "core/vanginneken.hpp"
 #include "lib/wire.hpp"
 #include "seg/segment.hpp"
+#include "steiner/builders.hpp"
 #include "steiner/steiner.hpp"
 #include "util/rng.hpp"
 
@@ -31,6 +32,57 @@ rct::RoutingTree random_net(util::Rng& rng) {
   }
   return steiner::build_tree({0, 0}, default_driver(rng.uniform(60, 350)),
                              pins, lib::default_technology());
+}
+
+// A random local edit (WireScale / SinkSet / WireSplit): rescale factors
+// in [0.4, 2.5], sink cap x[0.5, 2.0] with a fresh margin in [0.3, 1.2] V,
+// splits at [0.25, 0.75] of wires longer than 1 µm (shorter wires degrade
+// to a WireScale so every draw yields a usable edit).
+core::Perturbation random_perturbation(util::Rng& rng,
+                                       const rct::RoutingTree& tree) {
+  using core::Perturbation;
+  Perturbation p;
+  const auto order = tree.preorder();
+  const auto pick_non_source = [&] {
+    return order[static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<int>(order.size()) - 1))];
+  };
+  switch (rng.uniform_int(0, 2)) {
+    case 0: {
+      p.kind = Perturbation::Kind::WireScale;
+      p.node = pick_non_source();
+      p.res_factor = rng.uniform(0.4, 2.5);
+      p.cap_factor = rng.uniform(0.4, 2.5);
+      p.cur_factor = rng.uniform(0.4, 2.5);
+      break;
+    }
+    case 1: {
+      p.kind = Perturbation::Kind::SinkSet;
+      p.sink = rct::SinkId{static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<int>(tree.sink_count()) - 1))};
+      p.sink_info = tree.sink(p.sink);
+      p.sink_info.cap *= rng.uniform(0.5, 2.0);
+      p.sink_info.noise_margin = rng.uniform(0.3, 1.2);
+      break;
+    }
+    default: {
+      const rct::NodeId v = pick_non_source();
+      const double frac = rng.uniform(0.25, 0.75);
+      const double len = tree.node(v).parent_wire.length;
+      if (len > 1.0) {
+        p.kind = Perturbation::Kind::WireSplit;
+        p.node = v;
+        p.dist_above = frac * len;
+      } else {
+        // Too short to split: degrade to a rescale so every draw edits.
+        p.kind = Perturbation::Kind::WireScale;
+        p.node = v;
+        p.res_factor = p.cap_factor = p.cur_factor = 1.0 + frac;
+      }
+      break;
+    }
+  }
+  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -111,7 +163,7 @@ TEST(IncrementalContext, DifferentialAgainstColdRunOnPerturbedTrees) {
     (void)ctx.optimize();
     const int edits = rng.uniform_int(1, 4);
     for (int e = 0; e < edits; ++e)
-      (void)ctx.apply(core::random_perturbation(rng, ctx.tree()));
+      (void)ctx.apply(random_perturbation(rng, ctx.tree()));
     const auto& fast = ctx.optimize();
     reused_total += ctx.stats().last_reused;
     const auto cold = core::optimize(ctx.tree(), kLib, opt);
@@ -182,6 +234,37 @@ TEST(IncrementalContext, SplitWireGrowsTreeAndStaysConsistent) {
   const auto& got = ctx.optimize();
   const auto cold = core::optimize(ctx.tree(), kLib, inc_options());
   EXPECT_TRUE(core::same_solution(got, cold));
+}
+
+// Every run clamps max_buffers to the tree's buffer sites, and each split
+// below adds a site and raises the clamp. Nodes cached under a lower clamp
+// are padded with empty buckets, not recomputed, and every answer stays
+// the cold run's and that of a fast-kernel run over all 24 buckets.
+TEST(IncrementalContext, SplitsRaiseTheSiteClampExactly) {
+  core::VgOptions opt = inc_options();
+  opt.max_buffers = 24;
+  rct::RoutingTree t = steiner::make_balanced_tree(
+      3, 1500.0, default_driver(), default_sink(), lib::default_technology());
+  t.binarize();
+  core::IncrementalContext ctx(std::move(t), kLib, opt);
+  (void)ctx.optimize();
+  std::size_t reused = 0;
+  for (std::size_t s = 0; s < 10; ++s) {
+    SCOPED_TRACE("split " + std::to_string(s));
+    // The s-th non-source node in preorder, split above its midpoint.
+    const rct::NodeId v = ctx.tree().preorder()[1 + s % 6];
+    (void)ctx.split_wire(v, 0.5 * ctx.tree().node(v).parent_wire.length);
+    const auto& got = ctx.optimize();
+    reused += ctx.stats().last_reused;
+    ASSERT_TRUE(
+        core::same_solution(got, core::optimize(ctx.tree(), kLib, opt)));
+    core::PlanArena arena;
+    ASSERT_TRUE(core::same_solution(
+        got, core::detail::run_fast_kernel(ctx.tree(), kLib, opt, arena)));
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_LT(core::detail::clamped_to_sites(ctx.tree(), opt).max_buffers,
+            opt.max_buffers);  // the clamp bound in every run
 }
 
 TEST(IncrementalContext, InvalidateAllForcesColdRun) {

@@ -53,26 +53,6 @@ TEST(BufferLibrary, StrongestIsSmallestResistance) {
   EXPECT_EQ(l.strongest(), strong);
 }
 
-TEST(BufferLibrary, MinInputCap) {
-  lib::BufferLibrary l;
-  auto a = make_type("a", 100.0);
-  a.input_cap = 3.0 * fF;
-  auto b = make_type("b", 200.0);
-  b.input_cap = 7.0 * fF;
-  l.add(a);
-  l.add(b);
-  EXPECT_DOUBLE_EQ(l.min_input_cap(), 3.0 * fF);
-}
-
-TEST(BufferLibrary, NonInvertingFilter) {
-  lib::BufferLibrary l;
-  l.add(make_type("inv", 100.0, true));
-  l.add(make_type("buf", 200.0, false));
-  const auto filtered = l.non_inverting();
-  ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered.types().front().name, "buf");
-}
-
 TEST(BufferLibrary, IdsEnumerateInOrder) {
   lib::BufferLibrary l;
   l.add(make_type("a", 1.0));
@@ -87,7 +67,6 @@ TEST(BufferLibrary, EmptyLibraryThrowsOnQueries) {
   lib::BufferLibrary l;
   EXPECT_TRUE(l.empty());
   EXPECT_THROW((void)l.strongest(), std::invalid_argument);
-  EXPECT_THROW((void)l.min_input_cap(), std::invalid_argument);
 }
 
 TEST(DefaultLibrary, HasPaperShape) {

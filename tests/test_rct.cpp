@@ -36,8 +36,9 @@ TEST(Tree, AddSinkRecordsInfo) {
   const auto so = t.make_source(default_driver());
   const auto s = t.add_sink(so, wire(100, 10, 1 * fF), default_sink(5 * fF));
   EXPECT_EQ(t.sink_count(), 1u);
-  EXPECT_EQ(t.sink_at(s).cap, 5 * fF);
-  EXPECT_EQ(t.sink_at(s).node, s);
+  const rct::SinkInfo& info = t.sink(t.node(s).sink);
+  EXPECT_EQ(info.cap, 5 * fF);
+  EXPECT_EQ(info.node, s);
 }
 
 TEST(Tree, SinksAreLeaves) {
@@ -83,20 +84,6 @@ TEST(Tree, PostorderVisitsChildrenFirst) {
   EXPECT_LT(pos(f.s1), pos(f.n));
   EXPECT_LT(pos(f.s2), pos(f.n));
   EXPECT_EQ(order.back(), f.tree.source());
-}
-
-TEST(Tree, PathFromAncestor) {
-  const auto f = test::fig3_net();
-  const auto p = f.tree.path(f.tree.source(), f.s1);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_EQ(p[0], f.tree.source());
-  EXPECT_EQ(p[1], f.n);
-  EXPECT_EQ(p[2], f.s1);
-}
-
-TEST(Tree, PathRejectsNonAncestor) {
-  const auto f = test::fig3_net();
-  EXPECT_THROW((void)f.tree.path(f.s1, f.s2), std::invalid_argument);
 }
 
 // --- split_wire ----------------------------------------------------------------

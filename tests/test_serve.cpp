@@ -258,6 +258,34 @@ TEST(ServeSession, UnboundedSegmentingIsABadRequest) {
   EXPECT_EQ(field_of(st.payload, "nets"), "1");
 }
 
+// OPTIMIZE's max_buffers far above the net's buffer sites is clamped to
+// them: 10^17 (whose DP buckets alone would need 2.4e18 bytes) answers
+// byte for byte as the default cap of 24 does, and so do PERTURBs whose
+// splits add sites.
+TEST(ServeSession, HugeMaxBuffersAnswersAsTheDefaultCap) {
+  const std::string net =
+      "name long_two_pin\ntech 0.073 0.21 1.8 250 0.7\n"
+      "driver core_drv 150 30\nnode mid source 4500\n"
+      "sink alu_in mid 4500 15 1400 0.8\n";
+  serve::Session huge, capped;
+  ASSERT_TRUE(is_ok(huge.handle(req(Opcode::LoadNet, net))));
+  ASSERT_TRUE(is_ok(capped.handle(req(Opcode::LoadNet, net))));
+  const Frame a = huge.handle(req(
+      Opcode::Optimize, "net long_two_pin\nmax_buffers 100000000000000000\n"));
+  const Frame b = capped.handle(
+      req(Opcode::Optimize, "net long_two_pin\nmax_buffers 24\n"));
+  ASSERT_TRUE(is_ok(a)) << a.payload;
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_EQ(field_of(a.payload, "buffer_count"), "2") << a.payload;
+  for (int node = 1; node <= 4; ++node) {
+    const std::string edit = "net long_two_pin\nsplit_wire " +
+                             std::to_string(node) + " 100\n";
+    const Frame pa = huge.handle(req(Opcode::Perturb, edit));
+    ASSERT_TRUE(is_ok(pa)) << pa.payload;
+    EXPECT_EQ(pa.payload, capped.handle(req(Opcode::Perturb, edit)).payload);
+  }
+}
+
 TEST(ServeSession, SignedIndicesAreTypedBadRequests) {
   serve::Session session;
   ASSERT_TRUE(is_ok(session.handle(

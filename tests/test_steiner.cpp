@@ -105,14 +105,6 @@ TEST(Steiner, ElectricalAnnotationMatchesTechnology) {
   EXPECT_NEAR(w.coupling_current, tech.wire_coupling_current(1234.0), 1e-12);
 }
 
-TEST(Steiner, EstimateWirelengthAgreesWithBuild) {
-  const auto tech = lib::default_technology();
-  const auto pins = pins_at({{1000, 0}, {500, 800}, {1500, 300}});
-  const double est = steiner::estimate_wirelength({0, 0}, pins);
-  auto t = steiner::build_tree({0, 0}, default_driver(), pins, tech);
-  EXPECT_NEAR(est, t.total_wirelength(), 1e-6);
-}
-
 TEST(Steiner, RandomNetsAreValidAndBounded) {
   const auto tech = lib::default_technology();
   util::Rng rng(99);

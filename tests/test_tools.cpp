@@ -98,6 +98,26 @@ TEST(Cli, WritesReadableOutputFile) {
   std::remove(out_file.c_str());
 }
 
+// A --max-buffers far above the net's buffer sites is clamped to them:
+// 10^17 (whose DP buckets alone would need 2.4e18 bytes) must answer
+// exactly as the default cap of 24 does.
+TEST(Cli, HugeMaxBuffersAnswersAsTheDefaultCap) {
+  const auto without_time = [](std::string out) {
+    const auto at = out.find(" in ");  // "inserted N buffer(s) in T ms"
+    const auto eol = out.find('\n', at);
+    if (at != std::string::npos) out.erase(at, eol - at);
+    return out;
+  };
+  const CliRun huge = run_cli(
+      {example("long_two_pin.net"), "--max-buffers", "100000000000000000"});
+  const CliRun capped =
+      run_cli({example("long_two_pin.net"), "--max-buffers", "24"});
+  EXPECT_EQ(huge.exit_code, 0) << huge.out;
+  EXPECT_EQ(capped.exit_code, 0) << capped.out;
+  EXPECT_EQ(number_after(huge.out, "buffopt: inserted"), 2.0);
+  EXPECT_EQ(without_time(huge.out), without_time(capped.out));
+}
+
 TEST(Cli, UsageAndInputErrorsExitTwo) {
   EXPECT_EQ(run_cli({}).exit_code, 2);
   EXPECT_EQ(run_cli({example("long_two_pin.net"), "--mode", "bogus"})

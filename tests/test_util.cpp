@@ -180,14 +180,13 @@ TEST(Stats, VgStatsFieldTableCoversEveryField) {
   const util::VgStats distinct{
       .candidates_generated = 1, .pruned_inferior = 2,
       .pruned_infeasible = 3, .merged = 4, .peak_list_size = 5,
-      .prune_calls = 6, .prune_sorts = 7, .pool_reuses = 8,
-      .bp_prune_calls = 9, .bp_candidates_killed = 10, .lib_types = 11,
-      .soa_prunes_no_move = 12};
+      .prune_calls = 6, .prune_sorts = 7, .bp_prune_calls = 8,
+      .bp_candidates_killed = 9, .lib_types = 10, .prunes_no_move = 11};
   const std::vector<std::string> declared = {
       "candidates_generated", "pruned_inferior", "pruned_infeasible",
       "merged", "peak_list_size", "prune_calls", "prune_sorts",
-      "pool_reuses", "bp_prune_calls", "bp_candidates_killed", "lib_types",
-      "soa_prunes_no_move"};
+      "bp_prune_calls", "bp_candidates_killed", "lib_types",
+      "prunes_no_move"};
   ASSERT_EQ(std::size(util::kVgStatsFields), declared.size());
 
   for (const Field& f : util::kVgStatsFields) {
